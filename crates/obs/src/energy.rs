@@ -30,6 +30,7 @@
 //! conservation gates in `energy_obs_bench` and the property tests
 //! replay against.
 
+use crate::lock_or_recover;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -191,10 +192,7 @@ impl EnergyLedger {
 
     /// Books one window and its per-tenant attributed shares.
     pub fn record_window(&self, summary: WindowSummary, per_tenant_nj: &[(u64, u64)]) {
-        let mut inner = match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut inner = lock_or_recover(&self.inner);
         inner.facility_nj += u128::from(summary.facility_nj);
         inner.attributed_nj += u128::from(summary.attributed_nj);
         inner.idle_nj += u128::from(summary.idle_nj);
@@ -210,35 +208,23 @@ impl EnergyLedger {
 
     /// Retained window summaries (record order).
     pub fn windows(&self) -> Vec<WindowSummary> {
-        match self.inner.lock() {
-            Ok(guard) => guard.windows.clone(),
-            Err(poisoned) => poisoned.into_inner().windows.clone(),
-        }
+        lock_or_recover(&self.inner).windows.clone()
     }
 
     /// Windows whose summary was not retained (totals still counted).
     pub fn windows_dropped(&self) -> u64 {
-        match self.inner.lock() {
-            Ok(guard) => guard.windows_dropped,
-            Err(poisoned) => poisoned.into_inner().windows_dropped,
-        }
+        lock_or_recover(&self.inner).windows_dropped
     }
 
     /// Exact running totals `(facility, attributed, idle)` in nJ.
     pub fn totals_nj(&self) -> (u128, u128, u128) {
-        let inner = match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let inner = lock_or_recover(&self.inner);
         (inner.facility_nj, inner.attributed_nj, inner.idle_nj)
     }
 
     /// Exact per-tenant attributed totals in nJ, sorted by tenant.
     pub fn per_tenant_nj(&self) -> Vec<(u64, u128)> {
-        let inner = match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let inner = lock_or_recover(&self.inner);
         inner
             .per_tenant_nj
             .iter()
@@ -250,10 +236,7 @@ impl EnergyLedger {
     /// Σ facility meter, *and* every retained window conserves
     /// individually. Exact integer comparison — to the last bit.
     pub fn conservation_holds(&self) -> bool {
-        let inner = match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let inner = lock_or_recover(&self.inner);
         inner.attributed_nj + inner.idle_nj == inner.facility_nj
             && inner.windows.iter().all(WindowSummary::conserved)
     }

@@ -53,6 +53,8 @@ pub mod slo;
 pub mod span;
 pub mod trace;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub use energy::{
     largest_remainder_split, nj_to_j, to_nj, EnergyLedger, EnergyModel, WindowSummary,
 };
@@ -137,6 +139,13 @@ impl ObsPlane {
     pub fn invariant_exposition(&self) -> String {
         export::exposition(&self.registry.snapshot(Some(Scope::Invariant)))
     }
+}
+
+/// Locks a mutex, recovering the guarded data from a poisoned lock: a
+/// panic under another holder never corrupts these append-only
+/// structures, so observability keeps recording instead of panicking.
+pub(crate) fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Default for ObsPlane {

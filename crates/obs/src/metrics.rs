@@ -28,6 +28,7 @@
 //! race across threads.
 
 use crate::hist::{Histogram, Snapshot as HistSnapshot};
+use crate::lock_or_recover;
 use antarex_tuner::intern::{intern, SymbolId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -204,10 +205,7 @@ impl MetricsRegistry {
             name: intern(name),
             tenant,
         };
-        let mut entries = match self.entries.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut entries = lock_or_recover(&self.entries);
         for entry in entries.iter() {
             if entry.key == key {
                 return extract(&entry.instrument).unwrap_or_else(|| {
@@ -309,10 +307,7 @@ impl MetricsRegistry {
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        match self.entries.lock() {
-            Ok(guard) => guard.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
-        }
+        lock_or_recover(&self.entries).len()
     }
 
     /// `true` when nothing is registered.
@@ -324,10 +319,7 @@ impl MetricsRegistry {
     /// sorted by resolved name then tenant — a deterministic order
     /// independent of registration and interning order.
     pub fn snapshot(&self, scope: Option<Scope>) -> Vec<MetricSnapshot> {
-        let entries = match self.entries.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let entries = lock_or_recover(&self.entries);
         let mut rows: Vec<MetricSnapshot> = entries
             .iter()
             .filter(|entry| scope.is_none_or(|s| entry.scope == s))

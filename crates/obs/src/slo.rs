@@ -15,6 +15,7 @@
 //! layer can check every response against per-tenant objectives and
 //! export burn rates next to the metric plane.
 
+use crate::lock_or_recover;
 use antarex_monitor::sla::{Sla, SlaReport};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -70,10 +71,7 @@ impl SloBank {
         time_s: f64,
         value: f64,
     ) -> bool {
-        let mut slos = match self.slos.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut slos = lock_or_recover(&self.slos);
         let sla = slos
             .entry((tenant, objective.to_string()))
             .or_insert_with(|| Sla::upper_bound(objective, threshold));
@@ -83,10 +81,7 @@ impl SloBank {
     /// Burn-rate rows for every registered `(tenant, objective)`,
     /// in `(tenant, objective)` order.
     pub fn burn_rates(&self) -> Vec<BurnRow> {
-        let slos = match self.slos.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let slos = lock_or_recover(&self.slos);
         slos.iter()
             .map(|((tenant, objective), sla)| {
                 let report = sla.report();
@@ -102,10 +97,7 @@ impl SloBank {
 
     /// Number of registered `(tenant, objective)` pairs.
     pub fn len(&self) -> usize {
-        match self.slos.lock() {
-            Ok(guard) => guard.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
-        }
+        lock_or_recover(&self.slos).len()
     }
 
     /// `true` when no objective has been registered.

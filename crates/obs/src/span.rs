@@ -19,6 +19,7 @@
 //! tooling; weights are per-span *self* time in integer nanoseconds so
 //! the fold is exactly reproducible.
 
+use crate::lock_or_recover;
 use crate::metrics::Counter;
 use antarex_tuner::intern::{intern, SymbolId};
 use std::collections::BTreeMap;
@@ -111,10 +112,7 @@ impl Tracer {
             start_s,
             end_s: end_s.max(start_s),
         };
-        let mut ring = match self.ring.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut ring = lock_or_recover(&self.ring);
         let id = SpanId(ring.next_id);
         ring.next_id += 1;
         ring.recorded += 1;
@@ -144,18 +142,12 @@ impl Tracer {
 
     /// Total spans ever recorded (including overwritten ones).
     pub fn recorded(&self) -> u64 {
-        match self.ring.lock() {
-            Ok(guard) => guard.recorded,
-            Err(poisoned) => poisoned.into_inner().recorded,
-        }
+        lock_or_recover(&self.ring).recorded
     }
 
     /// Spans currently held (≤ capacity).
     pub fn len(&self) -> usize {
-        match self.ring.lock() {
-            Ok(guard) => guard.slots.len(),
-            Err(poisoned) => poisoned.into_inner().slots.len(),
-        }
+        lock_or_recover(&self.ring).slots.len()
     }
 
     /// `true` when no span has been recorded yet.
@@ -165,10 +157,7 @@ impl Tracer {
 
     /// The retained spans in record order (oldest first).
     pub fn spans(&self) -> Vec<SpanRecord> {
-        let ring = match self.ring.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let ring = lock_or_recover(&self.ring);
         let mut out = ring.slots.clone();
         out.sort_by_key(|span| span.id);
         out

@@ -30,6 +30,7 @@
 //! [`TraceStore::waterfall`] renders a single trace as an aligned
 //! text waterfall for terminal use.
 
+use crate::lock_or_recover;
 use crate::metrics::Counter;
 use crate::span::SpanId;
 use std::sync::Mutex;
@@ -234,10 +235,7 @@ impl TraceStore {
             end_s: event.end_s.max(event.start_s),
             ..event
         };
-        let mut inner = match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut inner = lock_or_recover(&self.inner);
         if inner.events.len() < self.capacity {
             inner.events.push(event);
             true
@@ -261,10 +259,7 @@ impl TraceStore {
 
     /// Retained events (record order).
     pub fn events(&self) -> Vec<TraceEvent> {
-        match self.inner.lock() {
-            Ok(guard) => guard.events.clone(),
-            Err(poisoned) => poisoned.into_inner().events.clone(),
-        }
+        lock_or_recover(&self.inner).events.clone()
     }
 
     /// Retained events of one trace (record order).
@@ -277,10 +272,7 @@ impl TraceStore {
 
     /// Retained event count (≤ capacity).
     pub fn len(&self) -> usize {
-        match self.inner.lock() {
-            Ok(guard) => guard.events.len(),
-            Err(poisoned) => poisoned.into_inner().events.len(),
-        }
+        lock_or_recover(&self.inner).events.len()
     }
 
     /// `true` when nothing has been retained.

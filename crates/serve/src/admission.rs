@@ -29,6 +29,7 @@
 //! across runs, worker counts, and crash recovery (its updates are
 //! journaled and its full state snapshots).
 
+use crate::lock_or_recover;
 use crate::store::TenantId;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -178,16 +179,9 @@ impl AdmissionController {
         self.config
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<TenantId, TenantAdmission>> {
-        match self.tenants.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// The tenant's current tier (admitted when never seen).
     pub fn tier(&self, tenant: TenantId) -> AdmissionTier {
-        self.lock()
+        lock_or_recover(&self.tenants)
             .get(&tenant)
             .map(|s| s.tier)
             .unwrap_or(AdmissionTier::Admit)
@@ -195,7 +189,10 @@ impl AdmissionController {
 
     /// The tenant's smoothed burn (zero when never seen).
     pub fn burn(&self, tenant: TenantId) -> f64 {
-        self.lock().get(&tenant).map(|s| s.burn).unwrap_or(0.0)
+        lock_or_recover(&self.tenants)
+            .get(&tenant)
+            .map(|s| s.burn)
+            .unwrap_or(0.0)
     }
 
     /// Backpressure hint for a hard shed, milliseconds: the base retry
@@ -226,7 +223,7 @@ impl AdmissionController {
         violations: u64,
     ) -> Option<AdmissionTier> {
         let window = self.config.window_burn(checked, violations);
-        let mut tenants = self.lock();
+        let mut tenants = lock_or_recover(&self.tenants);
         let state = tenants.entry(tenant).or_insert(TenantAdmission {
             burn: 0.0,
             tier: AdmissionTier::Admit,
@@ -265,7 +262,7 @@ impl AdmissionController {
     /// already being handled by admission; capacity reacts to the pain
     /// of tenants still receiving full service.
     pub fn max_admitted_burn(&self) -> f64 {
-        self.lock()
+        lock_or_recover(&self.tenants)
             .values()
             .filter(|s| s.tier == AdmissionTier::Admit)
             .map(|s| s.burn)
@@ -275,7 +272,7 @@ impl AdmissionController {
     /// How many tenants currently sit in each tier:
     /// `(admit, degrade, shed)`.
     pub fn tier_counts(&self) -> (usize, usize, usize) {
-        self.lock()
+        lock_or_recover(&self.tenants)
             .values()
             .fold((0, 0, 0), |(a, d, s), state| match state.tier {
                 AdmissionTier::Admit => (a + 1, d, s),
@@ -287,13 +284,16 @@ impl AdmissionController {
     /// Every tenant's admission state, sorted by tenant id — the
     /// snapshot the journal persists.
     pub fn snapshot(&self) -> Vec<(TenantId, TenantAdmission)> {
-        self.lock().iter().map(|(&t, &s)| (t, s)).collect()
+        lock_or_recover(&self.tenants)
+            .iter()
+            .map(|(&t, &s)| (t, s))
+            .collect()
     }
 
     /// Restores the controller to an exact prior state (crash
     /// recovery).
     pub fn restore(&self, states: &[(TenantId, TenantAdmission)]) {
-        let mut tenants = self.lock();
+        let mut tenants = lock_or_recover(&self.tenants);
         tenants.clear();
         for &(tenant, state) in states {
             tenants.insert(tenant, state);

@@ -21,6 +21,7 @@
 //! journaled and the full state snapshots, so crash recovery replays
 //! scaling bit-identically.
 
+use crate::lock_or_recover;
 use std::sync::Mutex;
 
 /// Tuning of the autoscaler.
@@ -116,51 +117,41 @@ impl Autoscaler {
         self.config
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, AutoscalerState> {
-        match self.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// The current virtual worker capacity.
     pub fn capacity(&self) -> usize {
-        self.lock().capacity
+        lock_or_recover(&self.state).capacity
     }
 
-    /// Takes one scaling decision at virtual time `now_s` given this
+    /// Proposes one scaling decision at virtual time `now_s` given this
     /// window's queued probe count and the admission plane's worst
-    /// admitted burn. Returns the new capacity when it changed.
+    /// admitted burn: the new capacity when it should change. The
+    /// proposal mutates nothing — the service commits it as a journaled
+    /// scale entry, applied through [`force`](Autoscaler::force).
     pub fn decide(&self, now_s: f64, queue_depth: usize, burn: f64) -> Option<usize> {
-        let mut state = self.lock();
+        let state = self.snapshot();
         if now_s - state.last_change_s < self.config.cooldown_s {
             return None;
         }
         let per_worker = queue_depth as f64 / state.capacity as f64;
-        let next = if (per_worker > self.config.queue_high || burn > self.config.burn_high)
+        if (per_worker > self.config.queue_high || burn > self.config.burn_high)
             && state.capacity < self.config.max_workers
         {
-            state.scale_ups += 1;
-            (state.capacity * 2).min(self.config.max_workers)
+            Some((state.capacity * 2).min(self.config.max_workers))
         } else if per_worker < self.config.queue_low
             && burn <= self.config.burn_high
             && state.capacity > self.config.min_workers
         {
-            state.scale_downs += 1;
-            state.capacity - 1
+            Some(state.capacity - 1)
         } else {
-            return None;
-        };
-        state.capacity = next;
-        state.last_change_s = now_s;
-        Some(next)
+            None
+        }
     }
 
-    /// Applies a journaled scaling decision during replay: sets the
-    /// capacity and decision clock exactly as the live `decide` did,
-    /// inferring the up/down tally from the capacity delta.
+    /// Applies a scaling decision — live or replayed from the journal:
+    /// sets the capacity and decision clock, inferring the up/down
+    /// tally from the capacity delta.
     pub fn force(&self, now_s: f64, capacity: usize) {
-        let mut state = self.lock();
+        let mut state = lock_or_recover(&self.state);
         if capacity > state.capacity {
             state.scale_ups += 1;
         } else if capacity < state.capacity {
@@ -172,13 +163,13 @@ impl Autoscaler {
 
     /// The full state — what the journal's snapshot persists.
     pub fn snapshot(&self) -> AutoscalerState {
-        *self.lock()
+        *lock_or_recover(&self.state)
     }
 
     /// Restores the autoscaler to an exact prior state (crash
     /// recovery).
     pub fn restore(&self, state: AutoscalerState) {
-        *self.lock() = state;
+        *lock_or_recover(&self.state) = state;
     }
 }
 
@@ -190,6 +181,25 @@ mod tests {
         Autoscaler::new(AutoscaleConfig::hardened())
     }
 
+    /// One decision committed the way the service commits it: the
+    /// proposal, then `force` when it names a new capacity.
+    fn step(s: &Autoscaler, now_s: f64, queue_depth: usize, burn: f64) -> Option<usize> {
+        let next = s.decide(now_s, queue_depth, burn);
+        if let Some(capacity) = next {
+            s.force(now_s, capacity);
+        }
+        next
+    }
+
+    #[test]
+    fn a_proposal_mutates_nothing() {
+        let s = scaler();
+        let before = s.snapshot();
+        assert_eq!(s.decide(0.0, 100, 0.0), Some(8));
+        assert_eq!(s.decide(0.0, 100, 0.0), Some(8), "no cooldown started");
+        assert_eq!(s.snapshot(), before);
+    }
+
     #[test]
     fn starts_at_the_floor() {
         assert_eq!(scaler().capacity(), 4);
@@ -198,33 +208,33 @@ mod tests {
     #[test]
     fn deep_queue_doubles_capacity_up_to_the_ceiling() {
         let s = scaler();
-        assert_eq!(s.decide(0.0, 100, 0.0), Some(8));
-        assert_eq!(s.decide(10.0, 100, 0.0), Some(16));
-        assert_eq!(s.decide(20.0, 200, 0.0), Some(32));
-        assert_eq!(s.decide(30.0, 400, 0.0), None, "already at max");
+        assert_eq!(step(&s, 0.0, 100, 0.0), Some(8));
+        assert_eq!(step(&s, 10.0, 100, 0.0), Some(16));
+        assert_eq!(step(&s, 20.0, 200, 0.0), Some(32));
+        assert_eq!(step(&s, 30.0, 400, 0.0), None, "already at max");
         assert_eq!(s.snapshot().scale_ups, 3);
     }
 
     #[test]
     fn burn_pain_scales_up_without_queue_pressure() {
         let s = scaler();
-        assert_eq!(s.decide(0.0, 8, 20.0), Some(8), "burn > burn_high");
+        assert_eq!(step(&s, 0.0, 8, 20.0), Some(8), "burn > burn_high");
     }
 
     #[test]
     fn cooldown_gates_consecutive_decisions() {
         let s = scaler();
-        assert_eq!(s.decide(0.0, 100, 0.0), Some(8));
-        assert_eq!(s.decide(1.0, 100, 0.0), None, "inside cooldown");
-        assert_eq!(s.decide(4.0, 100, 0.0), Some(16), "cooldown elapsed");
+        assert_eq!(step(&s, 0.0, 100, 0.0), Some(8));
+        assert_eq!(step(&s, 1.0, 100, 0.0), None, "inside cooldown");
+        assert_eq!(step(&s, 4.0, 100, 0.0), Some(16), "cooldown elapsed");
     }
 
     #[test]
     fn idle_pool_shrinks_one_worker_at_a_time() {
         let s = scaler();
-        s.decide(0.0, 100, 0.0); // 8
-        assert_eq!(s.decide(10.0, 0, 0.0), Some(7));
-        assert_eq!(s.decide(20.0, 0, 0.0), Some(6));
+        step(&s, 0.0, 100, 0.0); // 8
+        assert_eq!(step(&s, 10.0, 0, 0.0), Some(7));
+        assert_eq!(step(&s, 20.0, 0, 0.0), Some(6));
         assert_eq!(s.snapshot().scale_downs, 2);
     }
 
@@ -232,7 +242,7 @@ mod tests {
     fn never_shrinks_below_the_floor() {
         let s = scaler();
         for w in 0..20 {
-            s.decide(10.0 * w as f64, 0, 0.0);
+            step(&s, 10.0 * w as f64, 0, 0.0);
         }
         assert_eq!(s.capacity(), 4);
     }
@@ -240,28 +250,28 @@ mod tests {
     #[test]
     fn hysteresis_band_holds_capacity_steady() {
         let s = scaler();
-        s.decide(0.0, 100, 0.0); // 8
+        step(&s, 0.0, 100, 0.0); // 8
                                  // 2 probes/worker: above queue_low (1), below queue_high (4)
-        assert_eq!(s.decide(10.0, 16, 0.0), None);
+        assert_eq!(step(&s, 10.0, 16, 0.0), None);
         assert_eq!(s.capacity(), 8);
     }
 
     #[test]
     fn force_replays_a_decision_bit_identically() {
         let live = scaler();
-        live.decide(6.0, 100, 0.0);
+        step(&live, 6.0, 100, 0.0);
         let replayed = scaler();
         replayed.force(6.0, 8);
         assert_eq!(replayed.snapshot(), live.snapshot());
         // both respect the same cooldown afterwards
-        assert_eq!(live.decide(8.0, 100, 0.0), replayed.decide(8.0, 100, 0.0));
+        assert_eq!(step(&live, 8.0, 100, 0.0), step(&replayed, 8.0, 100, 0.0));
     }
 
     #[test]
     fn snapshot_restore_round_trips() {
         let s = scaler();
-        s.decide(0.0, 100, 0.0);
-        s.decide(10.0, 0, 0.0);
+        step(&s, 0.0, 100, 0.0);
+        step(&s, 10.0, 0, 0.0);
         let snap = s.snapshot();
         let restored = scaler();
         restored.restore(snap);

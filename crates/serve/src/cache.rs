@@ -33,6 +33,7 @@
 //! conflation could never occur in practice — the property suite checks
 //! equivalence over typed spaces, where the two keys agree exactly.
 
+use crate::lock_or_recover;
 use crate::store::mix64;
 use antarex_obs::Counter;
 use antarex_tuner::intern::SymbolId;
@@ -276,16 +277,11 @@ impl DesignPointCache {
         (key.seed() % self.shards.len() as u64) as usize
     }
 
-    fn lock(&self, index: usize) -> std::sync::MutexGuard<'_, HashMap<DesignKey, Metrics>> {
-        match self.shards[index].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// Looks up a design point, counting a hit or a miss.
     pub fn get(&self, key: &DesignKey) -> Option<Metrics> {
-        let found = self.lock(self.shard_of(key)).get(key).cloned();
+        let found = lock_or_recover(&self.shards[self.shard_of(key)])
+            .get(key)
+            .cloned();
         match &found {
             Some(_) => self.hits.inc(),
             None => self.misses.inc(),
@@ -295,7 +291,7 @@ impl DesignPointCache {
 
     /// Inserts (or overwrites) a design point's metrics.
     pub fn insert(&self, key: DesignKey, metrics: Metrics) {
-        self.lock(self.shard_of(&key)).insert(key, metrics);
+        lock_or_recover(&self.shards[self.shard_of(&key)]).insert(key, metrics);
     }
 
     /// Counts a hit that bypassed [`get`](Self::get) — a request
@@ -312,7 +308,7 @@ impl DesignPointCache {
     /// waiters that would have been hits must re-probe — and the
     /// quarantine counter records the incident.
     pub fn quarantine(&self, key: &DesignKey) {
-        self.lock(self.shard_of(key)).remove(key);
+        lock_or_recover(&self.shards[self.shard_of(key)]).remove(key);
         self.misses.inc();
         self.quarantined.inc();
     }
@@ -321,8 +317,12 @@ impl DesignPointCache {
     /// snapshot machinery persists at a checkpoint boundary.
     pub fn entries(&self) -> Vec<(DesignKey, Metrics)> {
         let mut out: Vec<(DesignKey, Metrics)> = Vec::new();
-        for i in 0..self.shards.len() {
-            out.extend(self.lock(i).iter().map(|(k, v)| (k.clone(), v.clone())));
+        for shard in &self.shards {
+            out.extend(
+                lock_or_recover(shard)
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.clone())),
+            );
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -330,7 +330,7 @@ impl DesignPointCache {
 
     /// Cached design points.
     pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.lock(i).len()).sum()
+        self.shards.iter().map(|s| lock_or_recover(s).len()).sum()
     }
 
     /// Returns `true` when nothing is cached.

@@ -95,6 +95,44 @@ impl ServeError {
         }
     }
 
+    /// The serving counter a failed request is booked under: shed is
+    /// load (queue overflow or deliberate backpressure), infrastructure
+    /// faults are failures, tenant contract errors are rejections.
+    pub(crate) fn failure_class(&self) -> FailureClass {
+        match self {
+            ServeError::Shed { .. } | ServeError::AdmissionRejected { .. } => FailureClass::Shed,
+            ServeError::WorkerFailed { .. }
+            | ServeError::Deadline
+            | ServeError::CircuitOpen { .. } => FailureClass::Failed,
+            _ => FailureClass::Rejected,
+        }
+    }
+
+    /// Does this failure burn the tenant's SLO budget at the front
+    /// door? An infrastructure failure does (the service answered
+    /// badly), and so does unmet probe demand: a queue overflow, or a
+    /// cache miss rejected while the tenant is `degraded`. That is what
+    /// escalates a flooding tenant to the shed tier while a tenant
+    /// mostly served from cache dilutes the odd overflow. A hard shed
+    /// burns nothing, so a backed-off tenant decays home.
+    pub(crate) fn burns_budget(&self, degraded: bool) -> bool {
+        match self {
+            ServeError::WorkerFailed { .. } | ServeError::Deadline | ServeError::Shed { .. } => {
+                true
+            }
+            ServeError::AdmissionRejected { .. } => degraded,
+            _ => false,
+        }
+    }
+
+    /// Does this failure count against the tenant's circuit breaker?
+    /// Worker faults and missed deadlines say the evaluation path is
+    /// unhealthy for the tenant; sheds, open circuits, and contract
+    /// errors do not.
+    pub(crate) fn is_breaker_failure(&self) -> bool {
+        matches!(self, ServeError::WorkerFailed { .. } | ServeError::Deadline)
+    }
+
     /// The backpressure hint carried by an admission rejection:
     /// milliseconds of virtual time after which a retry becomes
     /// sensible. `None` for every other error.
@@ -104,6 +142,18 @@ impl ServeError {
             _ => None,
         }
     }
+}
+
+/// The serving counter a failed request lands in
+/// ([`ServeError::failure_class`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FailureClass {
+    /// Load: queue overflow or deliberate admission backpressure.
+    Shed,
+    /// Infrastructure fault: worker crash, missed deadline, open circuit.
+    Failed,
+    /// Tenant contract error: unknown tenant, infeasible SLA, ...
+    Rejected,
 }
 
 /// Maps serving-tier failures onto the navigation app's error type, so
@@ -201,31 +251,91 @@ mod tests {
         );
     }
 
+    /// Every variant, pinned for all four classifiers:
+    /// `(error, retryable, counter class, burns budget when admitted,
+    /// burns budget when degraded, breaker feedback)`.
     #[test]
     fn retryability_classifier() {
-        assert!(ServeError::Shed { capacity: 4 }.is_retryable());
-        assert!(ServeError::WorkerFailed { worker: 0 }.is_retryable());
-        assert!(ServeError::Deadline.is_retryable());
-        assert!(ServeError::CircuitOpen { tenant: 1 }.is_retryable());
-        assert!(!ServeError::UnknownTenant(1).is_retryable());
-        assert!(!ServeError::TenantExists(1).is_retryable());
-        assert!(!ServeError::Infeasible(1).is_retryable());
-        assert!(!ServeError::EmptyKnowledge(1).is_retryable());
-        assert!(
-            !ServeError::AdmissionRejected {
-                tenant: 1,
-                retry_after_ms: 1000,
-            }
-            .is_retryable(),
-            "a shedding controller must not be retried blind"
-        );
-        assert!(
-            !ServeError::InvalidConfig {
-                reason: "need at least one virtual worker"
-            }
-            .is_retryable(),
-            "misconfiguration never clears on its own"
-        );
+        use FailureClass::{Failed, Rejected, Shed};
+        let rejected = ServeError::AdmissionRejected {
+            tenant: 1,
+            retry_after_ms: 1000,
+        };
+        let misconfigured = ServeError::InvalidConfig {
+            reason: "need at least one virtual worker",
+        };
+        let table = [
+            (
+                ServeError::UnknownTenant(1),
+                false,
+                Rejected,
+                false,
+                false,
+                false,
+            ),
+            (
+                ServeError::TenantExists(1),
+                false,
+                Rejected,
+                false,
+                false,
+                false,
+            ),
+            (
+                ServeError::Shed { capacity: 4 },
+                true,
+                Shed,
+                true,
+                true,
+                false,
+            ),
+            (
+                ServeError::Infeasible(1),
+                false,
+                Rejected,
+                false,
+                false,
+                false,
+            ),
+            (
+                ServeError::EmptyKnowledge(1),
+                false,
+                Rejected,
+                false,
+                false,
+                false,
+            ),
+            (
+                ServeError::WorkerFailed { worker: 0 },
+                true,
+                Failed,
+                true,
+                true,
+                true,
+            ),
+            (ServeError::Deadline, true, Failed, true, true, true),
+            (
+                ServeError::CircuitOpen { tenant: 1 },
+                true,
+                Failed,
+                false,
+                false,
+                false,
+            ),
+            // a shedding controller must not be retried blind, and a
+            // hard shed burns nothing; a degraded tenant's rejected
+            // cache miss is unmet probe demand and does burn
+            (rejected, false, Shed, false, true, false),
+            // misconfiguration never clears on its own
+            (misconfigured, false, Rejected, false, false, false),
+        ];
+        for (error, retryable, class, burns_admitted, burns_degraded, breaker) in table {
+            assert_eq!(error.is_retryable(), retryable, "{error:?} retryable");
+            assert_eq!(error.failure_class(), class, "{error:?} class");
+            assert_eq!(error.burns_budget(false), burns_admitted, "{error:?} burn");
+            assert_eq!(error.burns_budget(true), burns_degraded, "{error:?} burn");
+            assert_eq!(error.is_breaker_failure(), breaker, "{error:?} breaker");
+        }
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   threads over a bounded, load-shedding queue, with results merged
 //!   in job order and timing replayed on *virtual* cores so outputs
 //!   are byte-identical at any physical core count;
-//! * [`service`] — the tying layer: select → cache → probe → learn →
-//!   adapt per batch, plus the aggregate power demand the RTRM's
-//!   facility capper splits across tenants;
+//! * [`service`] — the tying layer: admit → select → probe → commit →
+//!   adapt → attribute per batch, plus the aggregate power demand the
+//!   RTRM's facility capper splits across tenants;
 //! * [`chaos`] — the **fault-injected scheduler**: the pool's virtual
 //!   list schedule replayed against a deterministic
 //!   [`FaultSchedule`](antarex_sim::faults::FaultSchedule) — worker
@@ -84,6 +84,8 @@ pub mod pool;
 pub mod service;
 pub mod store;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionTier};
 pub use autoscale::{AutoscaleConfig, Autoscaler};
 pub use breaker::{BreakerBank, BreakerConfig, CircuitBreaker};
@@ -100,3 +102,10 @@ pub use service::{
     TuningRequest, TuningResponse, TuningService,
 };
 pub use store::{Session, SessionStore, TenantId};
+
+/// Locks a mutex, recovering the guarded data from a poisoned lock: a
+/// panic under another holder leaves the serving state structurally
+/// sound, so the service keeps going instead of cascading the panic.
+pub(crate) fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

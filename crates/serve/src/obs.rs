@@ -11,7 +11,9 @@
 //! makespan histograms.
 
 use crate::store::TenantClass;
-use antarex_obs::{Counter, Gauge, Histogram, ObsPlane, Scope};
+use antarex_obs::{
+    Counter, Gauge, Histogram, Layer, ObsPlane, Scope, SpanId, TraceCtx, TraceEvent,
+};
 use antarex_rtrm::powercap::PowercapObs;
 
 /// Nominal virtual width of a `select` span: PR 4's measured indexed
@@ -240,6 +242,32 @@ impl ServeObs {
         self.plane
             .slo
             .check_upper(tenant, "latency", self.slo_latency_s, time_s, latency_s)
+    }
+
+    /// Records one causal-trace event under `ctx` when that trace is
+    /// sampled. `window_s` is the event's `(start, end)` in virtual
+    /// seconds; `span` links it to the span ring.
+    pub(crate) fn trace(
+        &self,
+        ctx: TraceCtx,
+        layer: Layer,
+        name: &'static str,
+        window_s: (f64, f64),
+        value: f64,
+        span: SpanId,
+    ) {
+        if ctx.sampled {
+            self.plane.trace.record(TraceEvent {
+                trace: ctx.id,
+                tenant: ctx.tenant,
+                layer,
+                name,
+                start_s: window_s.0,
+                end_s: window_s.1,
+                value,
+                span,
+            });
+        }
     }
 
     /// The per-request attributed-energy budget checked per response.

@@ -27,6 +27,7 @@
 
 use crate::cache::{probe_seed, Metrics};
 use crate::error::ServeError;
+use crate::lock_or_recover;
 use crate::store::{TenantClass, TenantId};
 use antarex_obs::TraceCtx;
 use antarex_sim::sched;
@@ -222,10 +223,7 @@ impl CostEstimator {
     /// Predicted cost for a probe key: the refined per-key EWMA, the
     /// global mean for unseen keys, or 1.0 before any observation.
     pub fn estimate(&self, key: u64) -> f64 {
-        let state = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let state = lock_or_recover(&self.state);
         match state.table.get(&key) {
             Some(&cost) => cost,
             None if state.observed > 0 => state.mean,
@@ -237,10 +235,7 @@ impl CostEstimator {
     /// global mean.
     pub fn observe(&self, key: u64, cost_s: f64) {
         let cost = cost_s.max(0.0);
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut state = lock_or_recover(&self.state);
         state
             .table
             .entry(key)
@@ -253,11 +248,7 @@ impl CostEstimator {
 
     /// Number of distinct probe keys with a refined estimate.
     pub fn keys(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .table
-            .len()
+        lock_or_recover(&self.state).table.len()
     }
 }
 

@@ -16,14 +16,15 @@ use crate::autoscale::{AutoscaleConfig, Autoscaler};
 use crate::breaker::{BreakerBank, BreakerConfig};
 use crate::cache::{probe_seed, DesignKey, DesignPointCache, Metrics};
 use crate::chaos::{chaos_schedule, ChaosConfig, HedgePolicy};
-use crate::error::ServeError;
-use crate::journal::{take_snapshot, Journal, JournalEntry, Snapshot};
+use crate::error::{FailureClass, ServeError};
+use crate::journal::{Applied, FrontDoor, Journal, JournalEntry, ServingState, Snapshot};
+use crate::lock_or_recover;
 use crate::obs::{ServeObs, ADAPT_SPAN_S, CACHE_PROBE_SPAN_S, LEARN_SPAN_S, SELECT_SPAN_S};
-use crate::pool::{EvalJob, EvalPool, Evaluation, PoolConfig, SchedConfig};
+use crate::pool::{EvalJob, EvalPool, EvalResult, Evaluation, PoolConfig, SchedConfig};
 use crate::store::{Session, SessionStore, TenantClass, TenantId};
 use antarex_obs::{
-    largest_remainder_split, nj_to_j, to_nj, EnergyModel, Layer, SpanId, TraceCtx, TraceEvent,
-    TraceId, WindowSummary,
+    largest_remainder_split, nj_to_j, to_nj, EnergyModel, Layer, SpanId, TraceCtx, TraceId,
+    WindowSummary,
 };
 use antarex_rtrm::checkpoint::daly_interval_s;
 use antarex_rtrm::powercap::{split_digest, try_weighted_split_observed};
@@ -185,13 +186,6 @@ impl FrontDoorConfig {
     }
 }
 
-/// The live front-door controllers of one service instance.
-#[derive(Debug)]
-struct FrontDoor {
-    admission: AdmissionController,
-    autoscaler: Autoscaler,
-}
-
 /// One tuning request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuningRequest {
@@ -257,16 +251,10 @@ pub struct BatchReport {
 pub struct TuningService<E> {
     config: ServiceConfig,
     resilience: ResilienceConfig,
-    store: SessionStore,
-    cache: DesignPointCache,
+    state: ServingState,
     pool: EvalPool,
     evaluator: E,
     chaos: Option<ChaosConfig>,
-    breakers: BreakerBank,
-    journal: Option<Journal>,
-    snapshot: Mutex<Option<Snapshot>>,
-    next_snapshot_s: Mutex<f64>,
-    front_door: Option<FrontDoor>,
     obs: ServeObs,
     energy: EnergyModel,
     /// Monotone batch ordinal feeding trace-id derivation. Counts
@@ -297,31 +285,31 @@ impl<E: Evaluator> TuningService<E> {
         resilience: ResilienceConfig,
         evaluator: E,
     ) -> Self {
-        let interval = resilience.snapshot_interval_s();
         // the cache and breaker bank count onto cells owned by the
         // metrics registry: module accessors and the exposition read
         // the same atomics
         let obs = ServeObs::default();
-        TuningService {
-            config,
-            resilience,
-            store: SessionStore::new(config.store_shards),
-            cache: DesignPointCache::with_counters(
+        let state = ServingState::new(
+            SessionStore::new(config.store_shards),
+            DesignPointCache::with_counters(
                 config.cache_shards,
                 obs.cache_hits.clone(),
                 obs.cache_misses.clone(),
                 obs.cache_quarantined.clone(),
             ),
+            BreakerBank::with_trip_counter(resilience.breaker, obs.breaker_trips.clone()),
+            resilience
+                .journaled
+                .then(|| Journal::new(config.store_shards)),
+            resilience.snapshot_interval_s(),
+        );
+        TuningService {
+            config,
+            resilience,
+            state,
             pool: EvalPool::new(config.pool),
             evaluator,
             chaos: None,
-            breakers: BreakerBank::with_trip_counter(resilience.breaker, obs.breaker_trips.clone()),
-            journal: resilience
-                .journaled
-                .then(|| Journal::new(config.store_shards)),
-            snapshot: Mutex::new(None),
-            next_snapshot_s: Mutex::new(interval),
-            front_door: None,
             obs,
             energy: EnergyModel::default(),
             batch_ordinal: AtomicU64::new(0),
@@ -360,7 +348,7 @@ impl<E: Evaluator> TuningService<E> {
     pub fn with_front_door(mut self, front_door: FrontDoorConfig) -> Self {
         let autoscaler = Autoscaler::new(front_door.autoscale);
         self.obs.pool_capacity.set(autoscaler.capacity() as f64);
-        self.front_door = Some(FrontDoor {
+        self.state.front_door = Some(FrontDoor {
             admission: AdmissionController::new(front_door.admission),
             autoscaler,
         });
@@ -379,10 +367,12 @@ impl<E: Evaluator> TuningService<E> {
     }
 
     /// Rebuilds a service after a crash from its persistent state: the
-    /// last snapshot (if any) plus the journal suffix in append order.
+    /// last snapshot (if any) plus the journal suffix in append order,
+    /// committed through the live path's own transition function.
     /// `make_manager` must be the deterministic factory original
     /// registrations used. The recovered in-memory state is
-    /// bit-identical to the crashed instance's.
+    /// bit-identical to the crashed instance's, its journal again holds
+    /// the suffix, and its snapshot cadence is the crashed instance's.
     ///
     /// # Panics
     ///
@@ -408,40 +398,13 @@ impl<E: Evaluator> TuningService<E> {
         if let Some(fd) = front_door {
             service = service.with_front_door(fd);
         }
-        if let Some(snap) = &snapshot {
-            service.store = SessionStore::recover(config.store_shards, snap.sessions.clone());
-            for (key, metrics) in &snap.cache {
-                service.cache.insert(key.clone(), metrics.clone());
-            }
-            service.breakers.restore(&snap.breakers);
-            if let Some(fd) = &service.front_door {
-                fd.admission.restore(&snap.admission);
-                if let Some(state) = snap.autoscaler {
-                    fd.autoscaler.restore(state);
-                    service.obs.pool_capacity.set(state.capacity as f64);
-                }
-            }
-            *lock_or_recover(&service.next_snapshot_s) =
-                snap.at_s + resilience.snapshot_interval_s();
-        }
-        crate::journal::replay(
-            entries,
-            &service.store,
-            &service.cache,
-            &service.breakers,
-            service
-                .front_door
-                .as_ref()
-                .map(|fd| (&fd.admission, &fd.autoscaler)),
-            make_manager,
-        );
-        if let Some(fd) = &service.front_door {
+        service.state.recover(snapshot, entries, make_manager);
+        if let Some(fd) = &service.state.front_door {
             service
                 .obs
                 .pool_capacity
                 .set(fd.autoscaler.capacity() as f64);
         }
-        *lock_or_recover(&service.snapshot) = snapshot;
         service
     }
 
@@ -449,15 +412,7 @@ impl<E: Evaluator> TuningService<E> {
     /// only what a real deployment would find on stable storage — the
     /// last snapshot and the journal suffix since it.
     pub fn crash(self) -> (Option<Snapshot>, Vec<JournalEntry>) {
-        let snapshot = self
-            .snapshot
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let entries = self
-            .journal
-            .map(|j| j.entries_in_order())
-            .unwrap_or_default();
-        (snapshot, entries)
+        self.state.crash()
     }
 
     /// The sizing the service was built with.
@@ -467,17 +422,17 @@ impl<E: Evaluator> TuningService<E> {
 
     /// The session store.
     pub fn store(&self) -> &SessionStore {
-        &self.store
+        &self.state.store
     }
 
     /// The design-point cache.
     pub fn cache(&self) -> &DesignPointCache {
-        &self.cache
+        &self.state.cache
     }
 
     /// The per-tenant circuit breakers.
     pub fn breakers(&self) -> &BreakerBank {
-        &self.breakers
+        &self.state.breakers
     }
 
     /// The resilience profile in force.
@@ -487,26 +442,18 @@ impl<E: Evaluator> TuningService<E> {
 
     /// The admission controller, when a front door is installed.
     pub fn admission(&self) -> Option<&AdmissionController> {
-        self.front_door.as_ref().map(|fd| &fd.admission)
+        self.state.front_door.as_ref().map(|fd| &fd.admission)
     }
 
     /// The pool autoscaler, when a front door is installed.
     pub fn autoscaler(&self) -> Option<&Autoscaler> {
-        self.front_door.as_ref().map(|fd| &fd.autoscaler)
+        self.state.front_door.as_ref().map(|fd| &fd.autoscaler)
     }
 
     /// The observability plane: metrics registry, span tracer, and
     /// per-tenant SLO burn tracking for this instance.
     pub fn obs(&self) -> &ServeObs {
         &self.obs
-    }
-
-    /// Appends a delta to the write-ahead journal (no-op when the
-    /// service is not journaled).
-    fn journal_append(&self, entry: impl FnOnce() -> JournalEntry) {
-        if let Some(journal) = &self.journal {
-            journal.append(entry());
-        }
     }
 
     /// Registers a [`TenantClass::Generic`] tenant with its runtime
@@ -532,17 +479,8 @@ impl<E: Evaluator> TuningService<E> {
         manager: AppManager,
         features: Vec<f64>,
     ) -> Result<(), ServeError> {
-        let result = self
-            .store
-            .insert(tenant, Session::classed(manager, features.clone(), class));
-        if result.is_ok() {
-            self.journal_append(|| JournalEntry::Register {
-                tenant,
-                features,
-                class,
-            });
-        }
-        result
+        self.state
+            .register(tenant, Session::classed(manager, features, class))
     }
 
     /// Renders the full serving state — sessions, managers, cache
@@ -551,7 +489,7 @@ impl<E: Evaluator> TuningService<E> {
     /// recovery experiment compares exactly this.
     pub fn state_report(&self) -> String {
         let mut out = String::new();
-        self.store.fold((), |(), tenant, session| {
+        self.state.store.fold((), |(), tenant, session| {
             let _ = writeln!(
                 out,
                 "tenant {tenant}: class={} requests={} rejected={} power={:.6} last={:?} manager={:?}",
@@ -563,10 +501,10 @@ impl<E: Evaluator> TuningService<E> {
                 session.manager,
             );
         });
-        for (key, metrics) in self.cache.entries() {
+        for (key, metrics) in self.state.cache.entries() {
             let _ = writeln!(out, "cache {key:?} => {metrics:?}");
         }
-        for (tenant, breaker) in self.breakers.snapshot() {
+        for (tenant, breaker) in self.state.breakers.snapshot() {
             let _ = writeln!(
                 out,
                 "breaker {tenant}: {} trips={}",
@@ -574,7 +512,7 @@ impl<E: Evaluator> TuningService<E> {
                 breaker.trips()
             );
         }
-        if let Some(fd) = &self.front_door {
+        if let Some(fd) = &self.state.front_door {
             for (tenant, state) in fd.admission.snapshot() {
                 let _ = writeln!(
                     out,
@@ -594,273 +532,245 @@ impl<E: Evaluator> TuningService<E> {
         out
     }
 
-    /// Serves one batch of requests.
-    ///
-    /// The batch is processed in arrival order: operating points are
-    /// selected per tenant (tenants with an open circuit fail fast
-    /// first), cache misses are deduplicated and evaluated in parallel
-    /// (bounded queue; overflow is shed). Under an injected
-    /// [`ChaosConfig`] each probe is replayed through the fault-aware
-    /// scheduler — crashes retried with capped backoff, stragglers
-    /// hedged, results integrity-checked, deadlines enforced. Verified
-    /// results land in the cache and in each tenant's knowledge base;
-    /// failed design points are quarantined so waiters re-probe;
-    /// breakers take success/failure feedback; and every touched tenant
-    /// runs one adaptation round at the batch's end time. When
-    /// journaling is on, every mutation is appended to the WAL first
-    /// and a snapshot is taken on the Daly cadence.
+    /// Serves one batch of requests, in arrival order, through six
+    /// stages: **admit** (SLO front door, open circuits fail fast),
+    /// **select** (cache hits answer, misses dedupe into probes),
+    /// **probe** (autoscaled virtual pool, bounded queue sheds overflow;
+    /// under an injected [`ChaosConfig`] crashes are retried, stragglers
+    /// hedged, results integrity-checked, deadlines enforced),
+    /// **commit** (results memoized or quarantined, answers learned,
+    /// breakers fed), **adapt** (adaptation rounds, admission feedback,
+    /// Daly-cadenced snapshot) and **attribute** (the energy window).
+    /// Every state change is a journal entry committed through the same
+    /// transition function crash recovery replays.
     pub fn serve_batch(&self, requests: &[TuningRequest]) -> BatchReport {
-        // 1. select per request, splitting cache hits from misses
-        enum Pending {
-            Err(ServeError),
-            Hit(Configuration, Metrics),
-            Job {
-                config: Configuration,
-                job_id: usize,
-                coalesced: bool,
-            },
-        }
-        self.obs.requests.add(requests.len() as u64);
-        let breaker_on = self.resilience.breaker.failure_threshold > 0;
-        let mut pending: Vec<Pending> = Vec::with_capacity(requests.len());
-        let mut jobs: Vec<EvalJob> = Vec::new();
-        let mut job_of_key: BTreeMap<DesignKey, usize> = BTreeMap::new();
-        let mut degraded = 0usize;
-        let mut admission_shed = 0usize;
-        // causal tracing: every request derives a TraceCtx from
-        // (tenant, probe seed, batch ordinal, position) — no wall
-        // clock — so trace ids are byte-identical at any worker count.
-        // One (ctx, class) row per request, aligned with `pending`.
-        let batch_ordinal = self.batch_ordinal.fetch_add(1, Ordering::Relaxed);
-        let mut req_meta: Vec<(TraceCtx, TenantClass)> = Vec::with_capacity(requests.len());
-        let record_admission = |ctx: TraceCtx, arrival_s: f64, tier_name: &'static str| {
-            if ctx.sampled {
-                self.obs.plane.trace.record(TraceEvent {
-                    trace: ctx.id,
-                    tenant: ctx.tenant,
-                    layer: Layer::Admission,
-                    name: tier_name,
-                    start_s: arrival_s,
-                    end_s: arrival_s,
-                    value: 0.0,
-                    span: SpanId::NONE,
-                });
-            }
-        };
-        for request in requests {
-            // the SLO front door runs first: a shed-tier tenant is
-            // rejected before it costs a breaker check, a select, or
-            // pool capacity — exactly one fail-fast path per request
-            let tier = self
-                .front_door
-                .as_ref()
-                .map(|fd| fd.admission.tier(request.tenant))
-                .unwrap_or(AdmissionTier::Admit);
-            if tier == AdmissionTier::Shed {
-                admission_shed += 1;
-                self.obs.admission_shed.inc();
-                let retry_after_ms = self
-                    .front_door
-                    .as_ref()
-                    .map(|fd| fd.admission.retry_after_ms(request.tenant))
-                    .unwrap_or(0);
-                let ctx = self.obs.plane.trace.derive(
-                    request.tenant,
-                    0,
-                    batch_ordinal,
-                    req_meta.len() as u32,
-                );
-                record_admission(ctx, request.arrival_s, "shed");
-                req_meta.push((ctx, TenantClass::Generic));
-                pending.push(Pending::Err(ServeError::AdmissionRejected {
-                    tenant: request.tenant,
-                    retry_after_ms,
-                }));
-                continue;
-            }
-            // fail fast for tenants whose circuit is open: the request
-            // costs a breaker check, not pool capacity
-            if breaker_on
-                && !self
-                    .breakers
-                    .with(request.tenant, |b| b.allow(request.arrival_s))
-            {
-                let ctx = self.obs.plane.trace.derive(
-                    request.tenant,
-                    0,
-                    batch_ordinal,
-                    req_meta.len() as u32,
-                );
-                record_admission(ctx, request.arrival_s, "circuit_open");
-                req_meta.push((ctx, TenantClass::Generic));
-                pending.push(Pending::Err(ServeError::CircuitOpen {
-                    tenant: request.tenant,
-                }));
-                continue;
-            }
-            if breaker_on {
-                self.journal_append(|| JournalEntry::BreakerAllow {
-                    tenant: request.tenant,
-                    time_s: request.arrival_s,
-                });
-            }
-            let selected = self.store.with(request.tenant, |session| {
-                if session.manager.knowledge().is_empty() {
-                    return Err(ServeError::EmptyKnowledge(request.tenant));
-                }
-                match session.manager.select() {
-                    Some(config) => Ok((config.clone(), session.features.clone(), session.class)),
-                    None => Err(ServeError::Infeasible(request.tenant)),
-                }
-            });
-            // `select()` mutates the manager (deploy/switch): journal it
-            // whenever it ran, even when it found the SLA infeasible
-            if matches!(&selected, Ok(Ok(_)) | Ok(Err(ServeError::Infeasible(_)))) {
-                self.obs.selects.inc();
-                self.journal_append(|| JournalEntry::Select {
-                    tenant: request.tenant,
-                });
-            }
-            let seq = req_meta.len() as u32;
-            let mut ctx = self
-                .obs
-                .plane
-                .trace
-                .derive(request.tenant, 0, batch_ordinal, seq);
-            let mut req_class = TenantClass::Generic;
-            let entry = match selected {
-                Err(e) | Ok(Err(e)) => Pending::Err(e),
-                Ok(Ok((config, features, class))) if tier == AdmissionTier::Degrade => {
-                    // degraded tier: cache-only service. A memoized
-                    // design point still answers (cheap, no pool), but
-                    // the tenant gets no fresh probe — cache-miss
-                    // demand is rejected and fed back as violation
-                    // pressure so a probe-hungry tenant escalates to
-                    // shed while a coasting one recovers
-                    degraded += 1;
-                    self.obs.admission_degraded.inc();
-                    ctx = self.obs.plane.trace.derive(
-                        request.tenant,
-                        probe_seed(&config, &features),
-                        batch_ordinal,
-                        seq,
-                    );
-                    req_class = class;
-                    let key = DesignKey::new(&config, &features);
-                    match self.cache.get(&key) {
-                        Some(metrics) => Pending::Hit(config, metrics),
-                        None => Pending::Err(ServeError::AdmissionRejected {
-                            tenant: request.tenant,
-                            retry_after_ms: self
-                                .front_door
-                                .as_ref()
-                                .map(|fd| fd.admission.retry_after_ms(request.tenant))
-                                .unwrap_or(0),
-                        }),
-                    }
-                }
-                Ok(Ok((config, features, class))) => {
-                    ctx = self.obs.plane.trace.derive(
-                        request.tenant,
-                        probe_seed(&config, &features),
-                        batch_ordinal,
-                        seq,
-                    );
-                    req_class = class;
-                    let key = DesignKey::new(&config, &features);
-                    if let Some(&job_id) = job_of_key.get(&key) {
-                        // an earlier request in this batch already queued
-                        // this exact design point: coalesce onto it
-                        Pending::Job {
-                            config,
-                            job_id,
-                            coalesced: true,
-                        }
-                    } else {
-                        match self.cache.get(&key) {
-                            Some(metrics) => Pending::Hit(config, metrics),
-                            None => {
-                                let job_id = jobs.len();
-                                // the job carries the first owner's
-                                // trace: sched/VM events link to it
-                                jobs.push(EvalJob {
-                                    id: job_id,
-                                    tenant: request.tenant,
-                                    class,
-                                    config: config.clone(),
-                                    features,
-                                    trace: ctx,
-                                });
-                                job_of_key.insert(key, job_id);
-                                Pending::Job {
-                                    config,
-                                    job_id,
-                                    coalesced: false,
-                                }
-                            }
-                        }
-                    }
-                }
-            };
-            record_admission(
-                ctx,
-                request.arrival_s,
-                match tier {
-                    AdmissionTier::Admit => "admit",
-                    AdmissionTier::Degrade => "degrade",
-                    AdmissionTier::Shed => "shed",
-                },
-            );
-            req_meta.push((ctx, req_class));
-            pending.push(entry);
-        }
+        let mut batch = self.admit(requests);
+        self.select(&mut batch);
+        self.probe(&mut batch);
+        self.commit(&mut batch);
+        self.adapt(&mut batch);
+        self.attribute(&mut batch);
+        batch.report
+    }
 
-        let batch_start_s = requests
+    /// The front door's rejection of `tenant`, carrying its
+    /// backpressure hint.
+    fn admission_rejected(&self, tenant: TenantId) -> ServeError {
+        let fd = self.state.front_door.as_ref();
+        let retry_after_ms = fd.map_or(0, |fd| fd.admission.retry_after_ms(tenant));
+        ServeError::AdmissionRejected {
+            tenant,
+            retry_after_ms,
+        }
+    }
+
+    /// Nominal metered energy of one cache lookup, nanojoules.
+    fn lookup_nj(&self) -> u64 {
+        to_nj(self.energy.cache_lookup_w * CACHE_LOOKUP_S)
+    }
+
+    /// Stage 1: the SLO front door runs first, so a shed-tier tenant is
+    /// rejected before it costs a breaker check, a select, or pool
+    /// capacity; then a tenant whose circuit is open fails fast at the
+    /// cost of a breaker check. Every request gets a trace context
+    /// derived from (tenant, seed 0, batch ordinal, position) — no wall
+    /// clock — so trace ids are byte-identical at any worker count.
+    fn admit<'r>(&self, requests: &'r [TuningRequest]) -> Batch<'r> {
+        self.obs.requests.add(requests.len() as u64);
+        let start_s = requests
             .iter()
             .map(|r| r.arrival_s)
             .fold(f64::INFINITY, f64::min);
-        let batch_start_s = if batch_start_s.is_finite() {
-            batch_start_s
-        } else {
-            0.0
+        let mut batch = Batch {
+            requests,
+            ordinal: self.batch_ordinal.fetch_add(1, Ordering::Relaxed),
+            rows: Vec::with_capacity(requests.len()),
+            pending: Vec::with_capacity(requests.len()),
+            jobs: Vec::new(),
+            start_s: if start_s.is_finite() { start_s } else { 0.0 },
+            end_s: requests
+                .iter()
+                .map(|r| r.arrival_s)
+                .fold(f64::NEG_INFINITY, f64::max),
+            probes: Vec::new(),
+            span: SpanId::NONE,
+            served: Vec::new(),
+            cache_lookups: 0,
+            touched: Vec::new(),
+            slo_tally: BTreeMap::new(),
+            report: BatchReport {
+                responses: Vec::with_capacity(requests.len()),
+                makespan_s: 0.0,
+                evaluated: 0,
+                shed: 0,
+                degraded: 0,
+                admission_shed: 0,
+                capacity: 0,
+                retries: 0,
+                hedges: 0,
+                quarantined: 0,
+            },
         };
+        let breaker_on = self.resilience.breaker.failure_threshold > 0;
+        let trace = &self.obs.plane.trace;
+        for (seq, request) in requests.iter().enumerate() {
+            let tenant = request.tenant;
+            let tier = self
+                .state
+                .front_door
+                .as_ref()
+                .map_or(AdmissionTier::Admit, |fd| fd.admission.tier(tenant));
+            let (gate, pending) = if tier == AdmissionTier::Shed {
+                batch.report.admission_shed += 1;
+                self.obs.admission_shed.inc();
+                ("shed", Pending::Err(self.admission_rejected(tenant)))
+            } else if breaker_on
+                && matches!(
+                    self.state.commit(JournalEntry::BreakerAllow {
+                        tenant,
+                        time_s: request.arrival_s,
+                    }),
+                    Applied::Unchanged
+                )
+            {
+                (
+                    "circuit_open",
+                    Pending::Err(ServeError::CircuitOpen { tenant }),
+                )
+            } else {
+                (tier.label(), Pending::Admitted)
+            };
+            batch.rows.push(Row {
+                tier,
+                gate,
+                ctx: trace.derive(tenant, 0, batch.ordinal, seq as u32),
+                class: TenantClass::Generic,
+            });
+            batch.pending.push(pending);
+        }
+        batch
+    }
 
+    /// Stage 2: each admitted request's tenant selects its operating
+    /// point. A memoized design point answers from the cache; a miss
+    /// queues one probe per distinct design point, and later requests
+    /// for the same point coalesce onto it. Selected requests re-derive
+    /// their trace context from the probe seed, and every request's
+    /// admission event is recorded here, in arrival order.
+    fn select(&self, batch: &mut Batch) {
+        let mut job_of_key: BTreeMap<DesignKey, usize> = BTreeMap::new();
+        let requests = batch.requests.iter().zip(&mut batch.rows);
+        for (seq, ((request, row), pending)) in requests.zip(&mut batch.pending).enumerate() {
+            if matches!(pending, Pending::Admitted) {
+                let tenant = request.tenant;
+                let applied = self.state.commit(JournalEntry::Select { tenant });
+                if applied.changed() {
+                    self.obs.selects.inc();
+                }
+                let Applied::Selected(selected) = applied else {
+                    unreachable!("a select entry reports its selection");
+                };
+                *pending = match selected {
+                    Err(e) => Pending::Err(e),
+                    Ok((config, features, class)) => {
+                        row.ctx = self.obs.plane.trace.derive(
+                            tenant,
+                            probe_seed(&config, &features),
+                            batch.ordinal,
+                            seq as u32,
+                        );
+                        row.class = class;
+                        let key = DesignKey::new(&config, &features);
+                        if row.tier == AdmissionTier::Degrade {
+                            // degraded tier: cache-only service. A
+                            // memoized design point still answers (cheap,
+                            // no pool), but the tenant gets no fresh probe
+                            // — cache-miss demand is rejected and fed back
+                            // as violation pressure so a probe-hungry
+                            // tenant escalates to shed while a coasting
+                            // one recovers
+                            batch.report.degraded += 1;
+                            self.obs.admission_degraded.inc();
+                            match self.state.cache.get(&key) {
+                                Some(metrics) => Pending::Hit(config, metrics),
+                                None => Pending::Err(self.admission_rejected(tenant)),
+                            }
+                        } else if let Some(&job_id) = job_of_key.get(&key) {
+                            Pending::Job {
+                                config,
+                                job_id,
+                                coalesced: true,
+                            }
+                        } else if let Some(metrics) = self.state.cache.get(&key) {
+                            Pending::Hit(config, metrics)
+                        } else {
+                            let job_id = batch.jobs.len();
+                            // the job carries the first owner's trace:
+                            // sched/VM events link to it
+                            batch.jobs.push(EvalJob {
+                                id: job_id,
+                                tenant,
+                                class,
+                                config: config.clone(),
+                                features,
+                                trace: row.ctx,
+                            });
+                            job_of_key.insert(key, job_id);
+                            Pending::Job {
+                                config,
+                                job_id,
+                                coalesced: false,
+                            }
+                        }
+                    }
+                };
+            }
+            let at_s = (request.arrival_s, request.arrival_s);
+            self.obs
+                .trace(row.ctx, Layer::Admission, row.gate, at_s, 0.0, SpanId::NONE);
+        }
+    }
+
+    /// Stage 3: the autoscaler sizes the virtual pool for this window's
+    /// probe demand, then the deduplicated misses are evaluated in
+    /// parallel. Probes are pure and computed exactly once; under chaos
+    /// only the virtual scheduling of those evaluations changes.
+    fn probe(&self, batch: &mut Batch) {
         // autoscaling decision at the batch start: queue depth is this
         // window's deduplicated probe demand, burn is the worst EWMA
         // among still-admitted tenants. The decision resizes *virtual*
         // capacity only — physical parallelism stays at the pool's
         // config — so outputs stay byte-identical at any thread count.
         let mut capacity = self.pool.config().workers;
-        if let Some(fd) = &self.front_door {
+        if let Some(fd) = &self.state.front_door {
             capacity = fd.autoscaler.capacity();
-            if !requests.is_empty() {
+            if !batch.requests.is_empty() {
                 if let Some(resized) = fd.autoscaler.decide(
-                    batch_start_s,
-                    jobs.len(),
+                    batch.start_s,
+                    batch.jobs.len(),
                     fd.admission.max_admitted_burn(),
                 ) {
+                    self.state.commit(JournalEntry::Scale {
+                        time_s: batch.start_s,
+                        workers: resized,
+                    });
                     capacity = resized;
                     self.obs.scale_events.inc();
                     self.obs.pool_capacity.set(resized as f64);
-                    self.journal_append(|| JournalEntry::Scale {
-                        time_s: batch_start_s,
-                        workers: resized,
-                    });
                 }
             }
         }
+        batch.report.capacity = capacity;
 
-        // 2. evaluate the deduplicated misses in parallel (the probes
-        // are pure and computed exactly once; under chaos only the
-        // virtual scheduling of those evaluations changes)
         let evaluator = &self.evaluator;
         // sampled jobs additionally report VM sub-segments for the
         // trace; the map is keyed by job id so insertion order under
         // physical parallelism cannot influence anything downstream
         let segment_stash: Mutex<BTreeMap<usize, Vec<ProbeSegment>>> = Mutex::new(BTreeMap::new());
-        let outcome = self
-            .pool
-            .evaluate_batch_on(jobs, capacity, &|job: &EvalJob| {
+        let outcome = self.pool.evaluate_batch_on(
+            std::mem::take(&mut batch.jobs),
+            capacity,
+            &|job: &EvalJob| {
                 if job.trace.sampled {
                     let (evaluation, segments) =
                         evaluator.evaluate_segmented(&job.config, &job.features);
@@ -871,12 +781,10 @@ impl<E: Evaluator> TuningService<E> {
                 } else {
                     evaluator.evaluate(&job.config, &job.features)
                 }
-            });
+            },
+        );
         let segment_stash = lock_or_recover(&segment_stash);
-        let admitted = outcome.results.len();
-        let mut retries = 0u64;
-        let mut hedges = 0u64;
-        let mut quarantined = 0u64;
+        let start_s = batch.start_s;
         // per admitted job: virtual completion relative to batch start,
         // or the typed error that ended it
         let (job_outcomes, makespan_s) = match &self.chaos {
@@ -895,17 +803,17 @@ impl<E: Evaluator> TuningService<E> {
                     &evaluations,
                     &poisoned,
                     capacity,
-                    batch_start_s,
+                    start_s,
                     chaos,
                     &self.resilience.hedge,
                 );
                 for s in &stats {
-                    retries += u64::from(s.retries);
-                    hedges += u64::from(s.hedges);
+                    batch.report.retries += u64::from(s.retries);
+                    batch.report.hedges += u64::from(s.hedges);
                 }
                 let relative: Vec<Result<f64, ServeError>> = outcomes
                     .into_iter()
-                    .map(|o| o.map(|t| t - batch_start_s))
+                    .map(|o| o.map(|t| t - start_s))
                     .collect();
                 (relative, makespan)
             }
@@ -914,9 +822,11 @@ impl<E: Evaluator> TuningService<E> {
                 outcome.makespan_s,
             ),
         };
-        self.obs.evaluated.add(admitted as u64);
-        self.obs.retries.add(retries);
-        self.obs.hedges.add(hedges);
+        batch.report.makespan_s = makespan_s;
+        batch.report.evaluated = outcome.results.len();
+        self.obs.evaluated.add(outcome.results.len() as u64);
+        self.obs.retries.add(batch.report.retries);
+        self.obs.hedges.add(batch.report.hedges);
         self.obs.makespan.record(makespan_s);
         // scheduler accounting: batch-level, so the 25 ns hot-path
         // budget is untouched. Stolen jobs attribute to their tenant
@@ -947,136 +857,104 @@ impl<E: Evaluator> TuningService<E> {
         // trace spans record *work content* on virtual time — a probe's
         // compute cost, a lookup's nominal cost — never queue placement,
         // so the retained trace is byte-identical at any worker count
-        let batch_span = if requests.is_empty() {
-            SpanId::NONE
-        } else {
+        if !batch.requests.is_empty() {
             let total_cost_s: f64 = outcome.results.iter().map(|r| r.evaluation.cost_s).sum();
-            let max_arrival_s = requests
-                .iter()
-                .map(|r| r.arrival_s)
-                .fold(batch_start_s, f64::max);
-            self.obs.plane.tracer.record(
+            batch.span = self.obs.plane.tracer.record(
                 "batch",
                 None,
                 SpanId::NONE,
-                batch_start_s,
-                max_arrival_s + total_cost_s,
-            )
-        };
+                start_s,
+                batch.end_s + total_cost_s,
+            );
+        }
         for result in &outcome.results {
+            let cost_s = result.evaluation.cost_s;
             let eval_span = self.obs.plane.tracer.record(
                 "eval",
                 Some(result.job.tenant),
-                batch_span,
-                batch_start_s,
-                batch_start_s + result.evaluation.cost_s,
+                batch.span,
+                start_s,
+                start_s + cost_s,
             );
-            let ctx = result.job.trace;
-            if !ctx.sampled {
-                continue;
-            }
             // sched layer: where the pool's virtual schedule placed the
             // probe (completion relative to batch start, chaos-free
             // view); value carries the probe's compute cost
-            self.obs.plane.trace.record(TraceEvent {
-                trace: ctx.id,
-                tenant: ctx.tenant,
-                layer: Layer::Sched,
-                name: "place",
-                start_s: batch_start_s,
-                end_s: batch_start_s + result.completion_s,
-                value: result.evaluation.cost_s,
-                span: eval_span,
-            });
+            let ctx = result.job.trace;
+            let placed_s = (start_s, start_s + result.completion_s);
+            self.obs
+                .trace(ctx, Layer::Sched, "place", placed_s, cost_s, eval_span);
             // VM layer: the probe's metered sub-segments laid out
             // sequentially on virtual time; value carries each
             // segment's metered joules
-            if let Some(segments) = segment_stash.get(&result.job.id) {
-                let mut seg_start_s = batch_start_s;
-                for segment in segments {
-                    self.obs.plane.trace.record(TraceEvent {
-                        trace: ctx.id,
-                        tenant: ctx.tenant,
-                        layer: Layer::Vm,
-                        name: segment.name,
-                        start_s: seg_start_s,
-                        end_s: seg_start_s + segment.cost_s,
-                        value: segment.energy_j,
-                        span: eval_span,
-                    });
-                    seg_start_s += segment.cost_s;
-                }
+            let mut seg_start_s = start_s;
+            for segment in segment_stash.get(&result.job.id).into_iter().flatten() {
+                let seg_s = (seg_start_s, seg_start_s + segment.cost_s);
+                self.obs.trace(
+                    ctx,
+                    Layer::Vm,
+                    segment.name,
+                    seg_s,
+                    segment.energy_j,
+                    eval_span,
+                );
+                seg_start_s += segment.cost_s;
             }
         }
+        batch.probes = outcome.results.into_iter().zip(job_outcomes).collect();
+    }
 
-        // verified results are memoized; failed design points are
-        // quarantined so coalesced waiters re-probe next time instead
-        // of being served a poisoned entry
-        for (result, job_outcome) in outcome.results.iter().zip(&job_outcomes) {
+    /// Stage 4: verified probe results are memoized and failed design
+    /// points quarantined, so coalesced waiters re-probe next time
+    /// instead of being served a poisoned entry. Then every request is
+    /// answered in arrival order and its outcome committed — learning
+    /// and breaker success for an answer, rejection and (for worker
+    /// faults) breaker failure for an error — while its SLO outcome is
+    /// tallied for the front door.
+    fn commit(&self, batch: &mut Batch) {
+        for (result, outcome) in &batch.probes {
             let key = DesignKey::new(&result.job.config, &result.job.features);
-            match job_outcome {
-                Ok(_) => {
-                    self.cache
-                        .insert(key.clone(), result.evaluation.metrics.clone());
-                    self.journal_append(|| JournalEntry::CacheInsert {
-                        key,
-                        metrics: result.evaluation.metrics.clone(),
-                    });
-                }
+            self.state.commit(match outcome {
+                Ok(_) => JournalEntry::CacheInsert {
+                    key,
+                    metrics: result.evaluation.metrics.clone(),
+                },
                 Err(_) => {
-                    self.cache.quarantine(&key);
-                    quarantined += 1;
-                    self.journal_append(|| JournalEntry::Quarantine { key });
+                    batch.report.quarantined += 1;
+                    JournalEntry::Quarantine { key }
                 }
-            }
+            });
         }
 
-        // 3. answer requests in order, feeding measurements back
-        let mut responses: Vec<Result<TuningResponse, ServeError>> =
-            Vec::with_capacity(requests.len());
-        let mut shed = 0;
-        let mut touched: Vec<TenantId> = Vec::new();
-        let mut batch_end_s = f64::NEG_INFINITY;
-        // per-tenant (checked, violations) the front door consumes at
-        // the batch end; every request's tenant gets an entry so a
-        // quiet (fully shed) tenant still decays toward readmission
-        let mut slo_tally: BTreeMap<TenantId, (u64, u64)> = BTreeMap::new();
-        let front_door_on = self.front_door.is_some();
-        // energy attribution: one row per *served* response, carrying
-        // its direct metered nanojoules (probe energy for fresh
-        // evaluations, nominal lookup energy for cache answers). The
-        // overhead split and the ledger window close after the loop.
-        struct ServedRow {
-            index: usize,
-            tenant: TenantId,
-            class: TenantClass,
-            ctx: TraceCtx,
-            arrival_s: f64,
-            direct_nj: u64,
-        }
-        let lookup_nj = to_nj(self.energy.cache_lookup_w * CACHE_LOOKUP_S);
-        let mut served_rows: Vec<ServedRow> = Vec::new();
-        let mut cache_lookups = 0u64;
-        for (index, (request, entry)) in requests.iter().zip(pending).enumerate() {
-            batch_end_s = batch_end_s.max(request.arrival_s);
+        let breaker_on = self.resilience.breaker.failure_threshold > 0;
+        // every request's tenant gets a tally entry, so a quiet (fully
+        // shed) tenant still decays toward readmission
+        let front_door_on = self.state.front_door.is_some();
+        let lookup_nj = self.lookup_nj();
+        let pending = std::mem::take(&mut batch.pending);
+        let requests = batch.requests.iter().zip(&batch.rows);
+        for (index, ((request, row), pending)) in requests.zip(pending).enumerate() {
+            let tenant = request.tenant;
             if front_door_on {
-                slo_tally.entry(request.tenant).or_default();
+                batch.slo_tally.entry(tenant).or_default();
             }
             // `work_s` is the request's worker-invariant span width: the
             // probe's compute cost for a fresh evaluation, the nominal
-            // lookup cost for cache answers, zero for errors
-            let (response, work_s, direct_nj) = match entry {
-                Pending::Err(e) => (Err(e), 0.0, 0u64),
+            // lookup cost for cache answers, zero for errors. Direct
+            // energy is the metered probe (or nominal lookup) energy.
+            let answer = |config, metrics, latency_s, cache_hit| TuningResponse {
+                tenant,
+                arrival_s: request.arrival_s,
+                config,
+                metrics,
+                latency_s,
+                cache_hit,
+                energy_j: 0.0,
+            };
+            let (response, work_s, direct_nj) = match pending {
+                Pending::Admitted => unreachable!("select resolves every admitted request"),
+                Pending::Err(e) => (Err(e), 0.0, 0),
                 Pending::Hit(config, metrics) => (
-                    Ok(TuningResponse {
-                        tenant: request.tenant,
-                        arrival_s: request.arrival_s,
-                        config,
-                        metrics,
-                        latency_s: CACHE_LOOKUP_S,
-                        cache_hit: true,
-                        energy_j: 0.0,
-                    }),
+                    Ok(answer(config, metrics, CACHE_LOOKUP_S, true)),
                     CACHE_LOOKUP_S,
                     lookup_nj,
                 ),
@@ -1084,378 +962,241 @@ impl<E: Evaluator> TuningService<E> {
                     config,
                     job_id,
                     coalesced,
-                } => {
-                    if job_id < admitted {
-                        match &job_outcomes[job_id] {
-                            Ok(completion_s) => {
-                                if coalesced {
-                                    self.cache.note_coalesced_hit();
-                                }
-                                (
-                                    Ok(TuningResponse {
-                                        tenant: request.tenant,
-                                        arrival_s: request.arrival_s,
-                                        config,
-                                        metrics: outcome.results[job_id].evaluation.metrics.clone(),
-                                        latency_s: *completion_s,
-                                        cache_hit: coalesced,
-                                        energy_j: 0.0,
-                                    }),
-                                    if coalesced {
-                                        CACHE_LOOKUP_S
-                                    } else {
-                                        outcome.results[job_id].evaluation.cost_s
-                                    },
-                                    if coalesced {
-                                        lookup_nj
-                                    } else {
-                                        to_nj(outcome.results[job_id].evaluation.energy_j)
-                                    },
-                                )
-                            }
-                            // coalesced waiters share their job's fate
-                            Err(e) => (Err(e.clone()), 0.0, 0),
+                } => match batch.probes.get(job_id) {
+                    // the job never made it into the bounded queue
+                    None => (
+                        Err(ServeError::Shed {
+                            capacity: self.pool.config().queue_capacity,
+                        }),
+                        0.0,
+                        0,
+                    ),
+                    // coalesced waiters share their job's fate
+                    Some((_, Err(e))) => (Err(e.clone()), 0.0, 0),
+                    Some((result, Ok(completion_s))) => {
+                        let evaluation = &result.evaluation;
+                        let metrics = evaluation.metrics.clone();
+                        let answered = Ok(answer(config, metrics, *completion_s, coalesced));
+                        if coalesced {
+                            self.state.cache.note_coalesced_hit();
+                            (answered, CACHE_LOOKUP_S, lookup_nj)
+                        } else {
+                            (answered, evaluation.cost_s, to_nj(evaluation.energy_j))
                         }
-                    } else {
-                        (
-                            Err(ServeError::Shed {
-                                capacity: self.pool.config().queue_capacity,
-                            }),
-                            0.0,
-                            0,
-                        )
                     }
-                }
+                },
             };
             let request_span = self.obs.plane.tracer.record(
                 "request",
-                Some(request.tenant),
-                batch_span,
+                Some(tenant),
+                batch.span,
                 request.arrival_s,
                 request.arrival_s + work_s,
             );
             match &response {
                 Ok(answer) => {
-                    let metrics = answer.metrics.clone();
-                    let config = answer.config.clone();
                     let arrival = answer.arrival_s;
                     self.obs.served.inc();
                     if answer.cache_hit {
                         self.obs.cache_hit_responses.inc();
-                        cache_lookups += 1;
+                        batch.cache_lookups += 1;
                     }
-                    let (ctx, class) = req_meta[index];
-                    served_rows.push(ServedRow {
-                        index,
-                        tenant: request.tenant,
-                        class,
-                        ctx,
-                        arrival_s: arrival,
-                        direct_nj,
-                    });
-                    self.obs.learns.add(metrics.len() as u64);
+                    batch.served.push((index, direct_nj));
+                    self.obs.learns.add(answer.metrics.len() as u64);
                     self.obs.latency.record(answer.latency_s);
-                    let slo_met =
-                        self.obs
-                            .check_latency_slo(request.tenant, arrival, answer.latency_s);
+                    let slo_met = self
+                        .obs
+                        .check_latency_slo(tenant, arrival, answer.latency_s);
                     if front_door_on {
-                        let tally = slo_tally.entry(request.tenant).or_default();
+                        let tally = batch.slo_tally.entry(tenant).or_default();
                         tally.0 += 1;
                         tally.1 += u64::from(!slo_met);
                     }
                     let select_end_s = arrival + SELECT_SPAN_S;
-                    self.obs.plane.tracer.record(
-                        "select",
-                        Some(request.tenant),
-                        request_span,
-                        arrival,
-                        select_end_s,
-                    );
-                    self.obs.plane.tracer.record(
+                    let tracer = &self.obs.plane.tracer;
+                    tracer.record("select", Some(tenant), request_span, arrival, select_end_s);
+                    tracer.record(
                         "cache_probe",
-                        Some(request.tenant),
+                        Some(tenant),
                         request_span,
                         select_end_s,
                         select_end_s + CACHE_PROBE_SPAN_S,
                     );
-                    self.obs.plane.tracer.record(
+                    tracer.record(
                         "learn",
-                        Some(request.tenant),
+                        Some(tenant),
                         request_span,
                         arrival + work_s,
                         arrival + work_s + LEARN_SPAN_S,
                     );
-                    let _ = self.store.with(request.tenant, |session| {
-                        session.requests += 1;
-                        session.last_config = Some(config.clone());
-                        session.power_demand_w = metrics.get("power").copied().unwrap_or(0.0);
-                        for (metric, value) in &metrics {
-                            session.manager.observe(arrival, metric, *value);
-                        }
-                    });
-                    if breaker_on {
-                        self.breakers
-                            .with(request.tenant, |b| b.on_success(arrival));
-                    }
-                    self.journal_append(|| JournalEntry::Learn {
-                        tenant: request.tenant,
+                    self.state.commit(JournalEntry::Learn {
+                        tenant,
                         time_s: arrival,
-                        config,
-                        metrics,
+                        config: answer.config.clone(),
+                        metrics: answer.metrics.clone(),
                     });
-                    if !touched.contains(&request.tenant) {
-                        touched.push(request.tenant);
+                    if !batch.touched.contains(&tenant) {
+                        batch.touched.push(tenant);
                     }
                 }
                 Err(e) => {
                     if matches!(e, ServeError::Shed { .. }) {
-                        shed += 1;
+                        batch.report.shed += 1;
                     }
-                    // classification mirrors the drive loop's: shed is
-                    // load (queue overflow or deliberate backpressure),
-                    // infrastructure faults are failures, tenant
-                    // contract errors are rejections
-                    match e {
-                        ServeError::Shed { .. } | ServeError::AdmissionRejected { .. } => {
-                            self.obs.shed.inc()
-                        }
-                        ServeError::WorkerFailed { .. }
-                        | ServeError::Deadline
-                        | ServeError::CircuitOpen { .. } => self.obs.failed.inc(),
-                        _ => self.obs.rejected.inc(),
+                    match e.failure_class() {
+                        FailureClass::Shed => self.obs.shed.inc(),
+                        FailureClass::Failed => self.obs.failed.inc(),
+                        FailureClass::Rejected => self.obs.rejected.inc(),
                     }
-                    if front_door_on {
-                        // feedback: an infrastructure failure burns the
-                        // tenant's budget (the service answered badly),
-                        // and unmet probe demand counts too — a queue
-                        // overflow on an admitted tenant, or a degraded
-                        // tenant's rejected cache miss. That is what
-                        // escalates an abuser to the shed tier: a
-                        // flooding tenant burns even while its probes
-                        // only ever overflow the queue, while a tenant
-                        // mostly served from cache dilutes the odd
-                        // overflow below the degrade threshold. A hard
-                        // shed contributes nothing, so a backed-off
-                        // tenant decays home.
-                        let burned = match &e {
-                            ServeError::WorkerFailed { .. }
-                            | ServeError::Deadline
-                            | ServeError::Shed { .. } => true,
-                            ServeError::AdmissionRejected { .. } => {
-                                self.front_door.as_ref().is_some_and(|fd| {
-                                    fd.admission.tier(request.tenant) == AdmissionTier::Degrade
-                                })
-                            }
-                            _ => false,
-                        };
-                        if burned {
-                            let tally = slo_tally.entry(request.tenant).or_default();
-                            tally.0 += 1;
-                            tally.1 += 1;
-                        }
+                    if front_door_on && e.burns_budget(row.tier == AdmissionTier::Degrade) {
+                        let tally = batch.slo_tally.entry(tenant).or_default();
+                        tally.0 += 1;
+                        tally.1 += 1;
                     }
-                    // worker faults and missed deadlines say the eval
-                    // path is unhealthy for this tenant; shed, open
-                    // circuits, and contract errors do not
-                    let feedback = breaker_on
-                        && matches!(e, ServeError::WorkerFailed { .. } | ServeError::Deadline);
-                    if feedback {
-                        self.breakers
-                            .with(request.tenant, |b| b.on_failure(request.arrival_s));
-                    }
-                    let known = self
-                        .store
-                        .with(request.tenant, |session| {
-                            session.rejected += 1;
-                        })
-                        .is_ok();
-                    if known {
-                        self.journal_append(|| JournalEntry::Reject {
-                            tenant: request.tenant,
-                            time_s: request.arrival_s,
-                            breaker_feedback: feedback,
-                        });
-                    }
-                }
-            }
-            responses.push(response);
-        }
-
-        // 3b. close the batch's energy window. All bookkeeping is in
-        // integer nanojoules with exactly one rounding per meter
-        // reading, so Σ attributed + idle ≡ the facility meter to the
-        // last bit (the ledger re-checks the invariant per window).
-        if !requests.is_empty() {
-            // direct metered energy: every probe the pool ran (served
-            // or not) plus one nominal lookup per cache-hit answer
-            let spent_eval_nj: u64 = outcome
-                .results
-                .iter()
-                .map(|r| to_nj(r.evaluation.energy_j))
-                .sum();
-            let direct_nj = spent_eval_nj + lookup_nj * cache_lookups;
-            // node static power burns over busy *work content* — never
-            // the worker-dependent makespan — keeping the window
-            // byte-identical at any physical or virtual worker count
-            let busy_s: f64 = outcome
-                .results
-                .iter()
-                .map(|r| r.evaluation.cost_s)
-                .sum::<f64>()
-                + cache_lookups as f64 * CACHE_LOOKUP_S;
-            let static_nj = to_nj(self.energy.node_static_w * busy_s);
-            let it_nj = direct_nj + static_nj;
-            let cooling_nj = to_nj(self.energy.cooling_overhead * nj_to_j(it_nj as u128));
-            let facility_nj = it_nj + cooling_nj;
-            let overhead_nj = static_nj + cooling_nj;
-            // overhead splits across served requests proportionally to
-            // their direct demand (largest remainder, so shares sum
-            // exactly); failed probes' direct energy stays unattributed
-            let weights: Vec<u64> = served_rows.iter().map(|r| r.direct_nj).collect();
-            let shares = largest_remainder_split(overhead_nj, &weights);
-            let mut attributed_nj = 0u64;
-            let mut per_tenant: BTreeMap<TenantId, u64> = BTreeMap::new();
-            for (row, &share) in served_rows.iter().zip(&shares) {
-                let request_nj = row.direct_nj + share;
-                attributed_nj += request_nj;
-                *per_tenant.entry(row.tenant).or_default() += request_nj;
-                let energy_j = nj_to_j(request_nj as u128);
-                if let Ok(answer) = &mut responses[row.index] {
-                    answer.energy_j = energy_j;
-                }
-                self.obs.class_energy[row.class.index()].record(energy_j);
-                // observed-only SLO: burn accrues under the `energy`
-                // objective but no admission tier acts on it yet
-                let _ = self
-                    .obs
-                    .check_energy_slo(row.tenant, row.arrival_s, energy_j);
-                if row.ctx.sampled {
-                    self.obs.plane.trace.record(TraceEvent {
-                        trace: row.ctx.id,
-                        tenant: row.ctx.tenant,
-                        layer: Layer::Serve,
-                        name: "energy",
-                        start_s: row.arrival_s,
-                        end_s: row.arrival_s,
-                        value: energy_j,
-                        span: SpanId::NONE,
+                    self.state.commit(JournalEntry::Reject {
+                        tenant,
+                        time_s: request.arrival_s,
+                        breaker_feedback: breaker_on && e.is_breaker_failure(),
                     });
                 }
             }
-            let idle_nj = facility_nj - attributed_nj;
-            self.obs.energy_facility_nj.add(facility_nj);
-            self.obs.energy_attributed_nj.add(attributed_nj);
-            self.obs.energy_idle_nj.add(idle_nj);
-            self.obs.energy_windows.inc();
-            let per_tenant_rows: Vec<(TenantId, u64)> = per_tenant.into_iter().collect();
-            self.obs.plane.energy.record_window(
-                WindowSummary {
-                    index: batch_ordinal,
-                    requests: served_rows.len() as u64,
-                    direct_nj,
-                    overhead_nj,
-                    facility_nj,
-                    attributed_nj,
-                    idle_nj,
-                },
-                &per_tenant_rows,
-            );
+            batch.report.responses.push(response);
         }
+    }
 
-        // 4. one adaptation round per touched tenant, sorted order
-        touched.sort_unstable();
-        for tenant in touched {
-            let _ = self.store.with(tenant, |session| {
-                session.manager.adapt(batch_end_s);
+    /// Stage 5: one adaptation round per touched tenant, in sorted
+    /// order, at the batch end; then the batch's SLO outcomes feed the
+    /// admission controller (one EWMA window per tenant); then a
+    /// snapshot when the Daly cadence says one is due.
+    fn adapt(&self, batch: &mut Batch) {
+        let end_s = batch.end_s;
+        batch.touched.sort_unstable();
+        for &tenant in &batch.touched {
+            self.state.commit(JournalEntry::Adapt {
+                tenant,
+                now_s: end_s,
             });
             self.obs.adapts.inc();
             self.obs.plane.tracer.record(
                 "adapt",
                 Some(tenant),
-                batch_span,
-                batch_end_s,
-                batch_end_s + ADAPT_SPAN_S,
+                batch.span,
+                end_s,
+                end_s + ADAPT_SPAN_S,
             );
-            self.journal_append(|| JournalEntry::Adapt {
+        }
+        if !end_s.is_finite() {
+            return;
+        }
+        for (&tenant, &(checked, violations)) in &batch.slo_tally {
+            let update = JournalEntry::AdmissionUpdate {
                 tenant,
-                now_s: batch_end_s,
-            });
-        }
-
-        // feed the batch's SLO outcomes to the admission controller:
-        // one EWMA window per tenant at the batch end, journaled so
-        // replay reproduces every tier transition bit-identically
-        if let Some(fd) = &self.front_door {
-            if batch_end_s.is_finite() {
-                for (&tenant, &(checked, violations)) in &slo_tally {
-                    if fd
-                        .admission
-                        .update(tenant, batch_end_s, checked, violations)
-                        .is_some()
-                    {
-                        self.obs.admission_transitions.inc();
-                    }
-                    self.journal_append(|| JournalEntry::AdmissionUpdate {
-                        tenant,
-                        time_s: batch_end_s,
-                        checked,
-                        violations,
-                    });
-                }
+                time_s: end_s,
+                checked,
+                violations,
+            };
+            if matches!(self.state.commit(update), Applied::Transition(Some(_))) {
+                self.obs.admission_transitions.inc();
             }
         }
+        self.state.checkpoint(end_s);
+    }
 
-        // 5. Daly-informed snapshot cadence: checkpoint the full state
-        // and compact the journal once the interval has elapsed
-        if let Some(journal) = &self.journal {
-            if batch_end_s.is_finite() {
-                let mut due = lock_or_recover(&self.next_snapshot_s);
-                if batch_end_s >= *due {
-                    let snap = take_snapshot(
-                        batch_end_s,
-                        journal,
-                        &self.store,
-                        &self.cache,
-                        &self.breakers,
-                        self.front_door
-                            .as_ref()
-                            .map(|fd| (&fd.admission, &fd.autoscaler)),
-                    );
-                    journal.compact(snap.through_seq);
-                    *lock_or_recover(&self.snapshot) = Some(snap);
-                    let interval = self.resilience.snapshot_interval_s();
-                    while *due <= batch_end_s {
-                        *due += interval;
-                    }
-                }
+    /// Stage 6: closes the batch's energy window. All bookkeeping is in
+    /// integer nanojoules with exactly one rounding per meter reading,
+    /// so Σ attributed + idle ≡ the facility meter to the last bit (the
+    /// ledger re-checks the invariant per window).
+    fn attribute(&self, batch: &mut Batch) {
+        if batch.requests.is_empty() {
+            return;
+        }
+        // direct metered energy: every probe the pool ran (served or
+        // not) plus one nominal lookup per cache-hit answer
+        let spent_eval_nj: u64 = batch
+            .probes
+            .iter()
+            .map(|(r, _)| to_nj(r.evaluation.energy_j))
+            .sum();
+        let direct_nj = spent_eval_nj + self.lookup_nj() * batch.cache_lookups;
+        // node static power burns over busy *work content* — never the
+        // worker-dependent makespan — keeping the window byte-identical
+        // at any physical or virtual worker count
+        let busy_s: f64 = batch
+            .probes
+            .iter()
+            .map(|(r, _)| r.evaluation.cost_s)
+            .sum::<f64>()
+            + batch.cache_lookups as f64 * CACHE_LOOKUP_S;
+        let static_nj = to_nj(self.energy.node_static_w * busy_s);
+        let it_nj = direct_nj + static_nj;
+        let cooling_nj = to_nj(self.energy.cooling_overhead * nj_to_j(it_nj as u128));
+        let facility_nj = it_nj + cooling_nj;
+        let overhead_nj = static_nj + cooling_nj;
+        // overhead splits across served requests proportionally to
+        // their direct demand (largest remainder, so shares sum
+        // exactly); failed probes' direct energy stays unattributed
+        let weights: Vec<u64> = batch.served.iter().map(|s| s.1).collect();
+        let shares = largest_remainder_split(overhead_nj, &weights);
+        let mut attributed_nj = 0u64;
+        let mut per_tenant: BTreeMap<TenantId, u64> = BTreeMap::new();
+        for (&(index, direct_nj), &share) in batch.served.iter().zip(&shares) {
+            let (request, row) = (batch.requests[index], batch.rows[index]);
+            let request_nj = direct_nj + share;
+            attributed_nj += request_nj;
+            *per_tenant.entry(request.tenant).or_default() += request_nj;
+            let energy_j = nj_to_j(request_nj as u128);
+            if let Ok(answer) = &mut batch.report.responses[index] {
+                answer.energy_j = energy_j;
             }
+            self.obs.class_energy[row.class.index()].record(energy_j);
+            // observed-only SLO: burn accrues under the `energy`
+            // objective but no admission tier acts on it yet
+            let _ = self
+                .obs
+                .check_energy_slo(request.tenant, request.arrival_s, energy_j);
+            let at_s = (request.arrival_s, request.arrival_s);
+            self.obs.trace(
+                row.ctx,
+                Layer::Serve,
+                "energy",
+                at_s,
+                energy_j,
+                SpanId::NONE,
+            );
         }
-
-        BatchReport {
-            responses,
-            makespan_s,
-            evaluated: admitted,
-            shed,
-            degraded,
-            admission_shed,
-            capacity,
-            retries,
-            hedges,
-            quarantined,
-        }
+        let idle_nj = facility_nj - attributed_nj;
+        self.obs.energy_facility_nj.add(facility_nj);
+        self.obs.energy_attributed_nj.add(attributed_nj);
+        self.obs.energy_idle_nj.add(idle_nj);
+        self.obs.energy_windows.inc();
+        let per_tenant_rows: Vec<(TenantId, u64)> = per_tenant.into_iter().collect();
+        self.obs.plane.energy.record_window(
+            WindowSummary {
+                index: batch.ordinal,
+                requests: batch.served.len() as u64,
+                direct_nj,
+                overhead_nj,
+                facility_nj,
+                attributed_nj,
+                idle_nj,
+            },
+            &per_tenant_rows,
+        );
     }
 
     /// Total power demand across every tenant's current operating
     /// point, watts — the figure the RTRM's facility capper consumes.
     pub fn aggregate_power_demand_w(&self) -> f64 {
-        self.store.fold(0.0, |acc, _, s| acc + s.power_demand_w)
+        self.state
+            .store
+            .fold(0.0, |acc, _, s| acc + s.power_demand_w)
     }
 
     /// Splits a facility power budget across tenants proportionally to
     /// their demand, via the RTRM's weighted split (idle floor
     /// included). Returns `None` when no tenant is registered.
     pub fn power_split(&self, budget_w: f64) -> Option<Vec<(TenantId, f64)>> {
-        let (tenants, demands) = self.store.fold(
+        let (tenants, demands) = self.state.store.fold(
             (Vec::new(), Vec::new()),
             |(mut tenants, mut demands), tenant, session| {
                 tenants.push(tenant);
@@ -1467,27 +1208,86 @@ impl<E: Evaluator> TuningService<E> {
         // RTRM layer of the causal trace: a cap decision is not tied
         // to one request, so its trace id is the split's own digest —
         // stable across runs, linked to requests by the shared store
-        self.obs.plane.trace.record(TraceEvent {
-            trace: TraceId(u128::from(split_digest(budget_w, &shares).max(1))),
+        let ctx = TraceCtx {
+            id: TraceId(u128::from(split_digest(budget_w, &shares).max(1))),
             tenant: 0,
-            layer: Layer::Rtrm,
-            name: "power_split",
-            start_s: 0.0,
-            end_s: 0.0,
-            value: budget_w,
-            span: SpanId::NONE,
-        });
+            sampled: true,
+        };
+        let at_s = (0.0, 0.0);
+        self.obs.trace(
+            ctx,
+            Layer::Rtrm,
+            "power_split",
+            at_s,
+            budget_w,
+            SpanId::NONE,
+        );
         Some(tenants.into_iter().zip(shares).collect())
     }
 }
 
-/// Locks a mutex, recovering the guarded data from a poisoned lock —
-/// a panic under another holder leaves these states structurally sound.
-fn lock_or_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+/// One batch on its way through the stages of
+/// [`TuningService::serve_batch`].
+struct Batch<'r> {
+    requests: &'r [TuningRequest],
+    /// Monotone batch ordinal: trace-id input and energy-window index.
+    ordinal: u64,
+    /// Per request: admission and trace identity.
+    rows: Vec<Row>,
+    /// Per request: where it stands; consumed by the commit stage.
+    pending: Vec<Pending>,
+    /// Deduplicated probes, handed to the pool by the probe stage.
+    jobs: Vec<EvalJob>,
+    /// Earliest arrival (zero for an empty batch), seconds.
+    start_s: f64,
+    /// Latest arrival (−∞ for an empty batch), seconds.
+    end_s: f64,
+    /// Per admitted job: the pool's result, and its virtual completion
+    /// relative to `start_s` or the typed error that ended it.
+    probes: Vec<(EvalResult, Result<f64, ServeError>)>,
+    /// The batch's root span.
+    span: SpanId,
+    /// Served requests awaiting energy attribution: request index and
+    /// direct metered (probe or nominal lookup) nanojoules.
+    served: Vec<(usize, u64)>,
+    /// Responses answered by a cache lookup.
+    cache_lookups: u64,
+    /// Tenants with a served request, adapted at the batch end.
+    touched: Vec<TenantId>,
+    /// Per-tenant `(checked, violations)` for the front door.
+    slo_tally: BTreeMap<TenantId, (u64, u64)>,
+    /// What the caller gets back, filled in stage by stage.
+    report: BatchReport,
+}
+
+/// One request's admission and trace identity.
+#[derive(Clone, Copy)]
+struct Row {
+    /// The tenant's admission tier at the batch start.
+    tier: AdmissionTier,
+    /// Admission trace event: `shed`, `circuit_open` or the tier label.
+    gate: &'static str,
+    /// Causal trace context: seed 0 until select, then the probe seed.
+    ctx: TraceCtx,
+    /// The tenant's class once selected.
+    class: TenantClass,
+}
+
+/// Where a request stands between stages.
+enum Pending {
+    /// Through the front door and breaker, not yet selected.
+    Admitted,
+    /// Failed with a typed error.
+    Err(ServeError),
+    /// Answered from the design-point cache.
+    Hit(Configuration, Metrics),
+    /// Waits on probe `job_id`, queued by this request or (when
+    /// `coalesced`) by an earlier one for the same design point.
+    Job {
+        config: Configuration,
+        job_id: usize,
+        coalesced: bool,
+    },
 }
 
 #[cfg(test)]
@@ -2117,6 +1917,84 @@ mod tests {
             reference_report,
             "front-door state must recover exactly"
         );
+    }
+
+    /// Four tenants on the hardened profile, two requests apart by
+    /// 0.5 s each per window: the Daly interval (≈16.82 s) first fires
+    /// at the window ending 21.5 s and is next due at ≈33.64 s.
+    fn hardened_four_tenants() -> TuningService<Probe> {
+        let service = TuningService::with_resilience(
+            ServiceConfig::default(),
+            ResilienceConfig::hardened(),
+            Probe,
+        );
+        for tenant in 0..4u64 {
+            service
+                .register_tenant(tenant, manager(), vec![1.0 + (tenant % 2) as f64])
+                .unwrap();
+        }
+        service
+    }
+
+    fn window_at(t0: f64) -> Vec<TuningRequest> {
+        (0..4u64)
+            .map(|tenant| TuningRequest {
+                tenant,
+                arrival_s: t0 + 0.5 * tenant as f64,
+            })
+            .collect()
+    }
+
+    fn recover_hardened(crashed: TuningService<Probe>) -> TuningService<Probe> {
+        let (snapshot, entries) = crashed.crash();
+        TuningService::recover(
+            ServiceConfig::default(),
+            ResilienceConfig::hardened(),
+            None,
+            None,
+            Probe,
+            snapshot,
+            &entries,
+            &|_| manager(),
+        )
+    }
+
+    /// A crash before the next snapshot must not lose the journal
+    /// suffix an earlier recovery replayed.
+    #[test]
+    fn double_crash_recovers_exactly() {
+        let windows = [0.0, 6.0, 20.0, 30.0, 31.0, 32.0];
+        let reference = hardened_four_tenants();
+        for &t0 in &windows {
+            reference.serve_batch(&window_at(t0));
+        }
+
+        let victim = hardened_four_tenants();
+        for &t0 in &windows[..4] {
+            victim.serve_batch(&window_at(t0));
+        }
+        let once = recover_hardened(victim);
+        once.serve_batch(&window_at(windows[4]));
+        let twice = recover_hardened(once);
+        twice.serve_batch(&window_at(windows[5]));
+        assert_eq!(twice.state_report(), reference.state_report());
+    }
+
+    /// Recovery keeps the crashed service's snapshot cadence.
+    #[test]
+    fn recovery_keeps_the_snapshot_cadence() {
+        let reference = hardened_four_tenants();
+        let victim = hardened_four_tenants();
+        for t0 in [0.0, 6.0, 20.0, 30.0] {
+            reference.serve_batch(&window_at(t0));
+            victim.serve_batch(&window_at(t0));
+        }
+        let recovered = recover_hardened(victim);
+        reference.serve_batch(&window_at(34.0));
+        recovered.serve_batch(&window_at(34.0));
+        let at_s = |service: TuningService<Probe>| service.crash().0.map(|s| s.at_s);
+        assert_eq!(at_s(reference), Some(35.5));
+        assert_eq!(at_s(recovered), Some(35.5));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! every run — the determinism the service's reports rely on.
 
 use crate::error::ServeError;
+use crate::lock_or_recover;
 use antarex_tuner::manager::AppManager;
 use antarex_tuner::Configuration;
 use std::collections::BTreeMap;
@@ -241,18 +242,9 @@ impl SessionStore {
         self.ring.shard_of(tenant)
     }
 
-    fn lock(&self, index: usize) -> std::sync::MutexGuard<'_, Shard> {
-        // a poisoned shard means a panic under another lock holder;
-        // the data itself is still structurally sound, so recover
-        match self.shards[index].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// Registers a new tenant session.
     pub fn insert(&self, tenant: TenantId, session: Session) -> Result<(), ServeError> {
-        let mut shard = self.lock(self.shard_of(tenant));
+        let mut shard = lock_or_recover(&self.shards[self.shard_of(tenant)]);
         if shard.contains_key(&tenant) {
             return Err(ServeError::TenantExists(tenant));
         }
@@ -262,7 +254,7 @@ impl SessionStore {
 
     /// Removes a tenant session, returning it if present.
     pub fn remove(&self, tenant: TenantId) -> Option<Session> {
-        self.lock(self.shard_of(tenant)).remove(&tenant)
+        lock_or_recover(&self.shards[self.shard_of(tenant)]).remove(&tenant)
     }
 
     /// Runs `f` on the tenant's session under the shard lock.
@@ -271,7 +263,7 @@ impl SessionStore {
         tenant: TenantId,
         f: impl FnOnce(&mut Session) -> R,
     ) -> Result<R, ServeError> {
-        let mut shard = self.lock(self.shard_of(tenant));
+        let mut shard = lock_or_recover(&self.shards[self.shard_of(tenant)]);
         match shard.get_mut(&tenant) {
             Some(session) => Ok(f(session)),
             None => Err(ServeError::UnknownTenant(tenant)),
@@ -280,7 +272,7 @@ impl SessionStore {
 
     /// Total sessions across all shards.
     pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.lock(i).len()).sum()
+        self.shards.iter().map(|s| lock_or_recover(s).len()).sum()
     }
 
     /// Returns `true` when no tenant is registered.
@@ -292,8 +284,8 @@ impl SessionStore {
     /// reports and aggregate control decisions.
     pub fn tenants(&self) -> Vec<TenantId> {
         let mut out: Vec<TenantId> = Vec::new();
-        for i in 0..self.shards.len() {
-            out.extend(self.lock(i).keys().copied());
+        for shard in &self.shards {
+            out.extend(lock_or_recover(shard).keys().copied());
         }
         out.sort_unstable();
         out
@@ -310,7 +302,7 @@ impl SessionStore {
 
     /// Rebuilds a store from a snapshot dump (crash recovery). The
     /// journal suffix is replayed on top by the caller — see
-    /// [`crate::journal::replay`].
+    /// [`TuningService::recover`](crate::TuningService::recover).
     ///
     /// # Panics
     ///
@@ -328,12 +320,12 @@ impl SessionStore {
     pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, TenantId, &Session) -> A) -> A {
         let mut entries: Vec<(TenantId, usize)> = Vec::new();
         for i in 0..self.shards.len() {
-            entries.extend(self.lock(i).keys().map(|&t| (t, i)));
+            entries.extend(lock_or_recover(&self.shards[i]).keys().map(|&t| (t, i)));
         }
         entries.sort_unstable();
         let mut acc = init;
         for (tenant, shard_index) in entries {
-            let shard = self.lock(shard_index);
+            let shard = lock_or_recover(&self.shards[shard_index]);
             if let Some(session) = shard.get(&tenant) {
                 acc = f(acc, tenant, session);
             }
