@@ -318,14 +318,42 @@ fn lex(source: &str) -> Result<Vec<Token>, IrError> {
     Ok(tokens)
 }
 
+/// Deepest nesting of statements, expressions and unary operators the
+/// parser accepts. The grammar rules recurse, so unbounded nesting in
+/// untrusted source would overflow the stack; real kernels nest a few
+/// levels deep.
+const MAX_NESTING: u32 = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nested rules currently open (see [`MAX_NESTING`]).
+    depth: u32,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Runs a recursive rule one nesting level deeper. Past
+    /// [`MAX_NESTING`] it fails instead, blaming the first token that
+    /// sits too deep.
+    fn nested<T>(
+        &mut self,
+        rule: impl FnOnce(&mut Self) -> Result<T, IrError>,
+    ) -> Result<T, IrError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = rule(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> &Token {
@@ -481,6 +509,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, IrError> {
+        self.nested(Self::unnested_stmt)
+    }
+
+    fn unnested_stmt(&mut self) -> Result<Stmt, IrError> {
         if matches!(&self.peek().tok, Tok::Punct("{")) {
             // flatten lexical blocks into If(true) to keep Block = Vec<Stmt>
             let inner = self.block()?;
@@ -701,7 +733,7 @@ impl Parser {
     // ---- expressions, precedence climbing ----
 
     fn expr(&mut self) -> Result<Expr, IrError> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr, IrError> {
@@ -774,11 +806,11 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr, IrError> {
         if self.eat_punct("-") {
-            let inner = self.unary_expr()?;
+            let inner = self.nested(Self::unary_expr)?;
             return Ok(Expr::Unary(UnOp::Neg, Box::new(inner)));
         }
         if self.eat_punct("!") {
-            let inner = self.unary_expr()?;
+            let inner = self.nested(Self::unary_expr)?;
             return Ok(Expr::Unary(UnOp::Not, Box::new(inner)));
         }
         self.primary_expr()
@@ -1073,6 +1105,75 @@ mod tests {
         let stmt = parse_stmt("profile_args(\"kernel\", 3);").unwrap();
         assert!(matches!(stmt, Stmt::ExprStmt(Expr::Call(_, _))));
         assert!(parse_stmt("x = 1; y = 2;").is_err());
+    }
+
+    fn parens(depth: u32) -> String {
+        format!(
+            "{}1{}",
+            "(".repeat(depth as usize),
+            ")".repeat(depth as usize)
+        )
+    }
+
+    fn negations(depth: u32) -> String {
+        format!("{}1", "- ".repeat(depth as usize))
+    }
+
+    fn blocks(depth: u32) -> String {
+        format!(
+            "void f() {{ {}{} }}",
+            "{ ".repeat(depth as usize),
+            "} ".repeat(depth as usize)
+        )
+    }
+
+    fn assert_too_deep(result: Result<impl std::fmt::Debug, IrError>) {
+        match result {
+            Err(err @ IrError::Parse { .. }) => {
+                assert!(err.span().is_some(), "{err}");
+                assert!(err.to_string().contains("nesting"), "{err}");
+            }
+            other => panic!("expected a nesting error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        assert_too_deep(parse_program(&format!(
+            "int f() {{ return {}; }}",
+            parens(10_000)
+        )));
+        assert_too_deep(parse_program(&format!(
+            "int f() {{ return {}; }}",
+            negations(10_000)
+        )));
+        assert_too_deep(parse_program(&blocks(10_000)));
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        // the outermost expression is one level, each `(` or `-` one more
+        assert!(parse_expr(&parens(MAX_NESTING - 1)).is_ok());
+        assert_too_deep(parse_expr(&parens(MAX_NESTING)));
+        assert!(parse_expr(&negations(MAX_NESTING - 1)).is_ok());
+        assert_too_deep(parse_expr(&negations(MAX_NESTING)));
+        // each statement is one level: the body's blocks nest directly
+        assert!(parse_program(&blocks(MAX_NESTING)).is_ok());
+        assert_too_deep(parse_program(&blocks(MAX_NESTING + 1)));
+    }
+
+    #[test]
+    fn nesting_error_blames_the_first_token_too_deep() {
+        let src = parens(MAX_NESTING);
+        let err = parse_expr(&src).unwrap_err();
+        assert_eq!(err.span().unwrap(), (1, MAX_NESTING + 1, MAX_NESTING + 2));
+        assert_eq!(blamed(&src, &err), "1");
+
+        let src = blocks(MAX_NESTING + 1);
+        let err = parse_program(&src).unwrap_err();
+        let (_, col, _) = err.span().unwrap();
+        assert_eq!(col, 12 + 2 * MAX_NESTING, "{err}");
+        assert_eq!(blamed(&src, &err), "{");
     }
 
     #[test]

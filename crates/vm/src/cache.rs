@@ -55,7 +55,25 @@ impl InstrumentedCodeCache {
     /// Returns the instrumented bytecode for `(program, model)`, lowering
     /// (and caching) it on first sight of the pair.
     pub fn instrument(&self, program: &Program, model: &CostModel) -> Arc<CompiledProgram> {
-        let key = CodeKey::of(program, model);
+        self.instrument_keyed(CodeKey::of(program, model), || {
+            lower_program(program, model)
+        })
+    }
+
+    /// Returns the instrumented bytecode cached under `key`, calling
+    /// `lower` (and caching its result) only on a miss.
+    ///
+    /// This is the one lookup path: [`instrument`](Self::instrument) is
+    /// this with a freshly computed [`CodeKey::of`]. A caller that keeps
+    /// the key of a program it replays — the serving tier's precision
+    /// rungs — skips digesting and, on a hit, building the program at
+    /// all. `key` must be the [`CodeKey::of`] the program `lower` lowers,
+    /// or the cache would hand that program's bytecode to another key.
+    pub fn instrument_keyed(
+        &self,
+        key: CodeKey,
+        lower: impl FnOnce() -> CompiledProgram,
+    ) -> Arc<CompiledProgram> {
         let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
         match map.entry(key) {
             std::collections::hash_map::Entry::Occupied(entry) => {
@@ -64,7 +82,7 @@ impl InstrumentedCodeCache {
             }
             std::collections::hash_map::Entry::Vacant(entry) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(entry.insert(Arc::new(lower_program(program, model))))
+                Arc::clone(entry.insert(Arc::new(lower())))
             }
         }
     }
@@ -152,6 +170,36 @@ mod tests {
         assert_eq!(cache.hits(), 19);
         assert_eq!(cache.misses(), 1);
         assert!(cache.hit_rate() > 0.94);
+    }
+
+    #[test]
+    fn instrument_is_instrument_keyed_under_the_program_digest() {
+        let cache = InstrumentedCodeCache::new();
+        let model = CostModel::new();
+        let program = parse_program("int f(int x) { return x * 3; }").unwrap();
+        let a = cache.instrument(&program, &model);
+        let b = cache.instrument_keyed(CodeKey::of(&program, &model), || {
+            panic!("a hit never lowers")
+        });
+        assert!(Arc::ptr_eq(&a, &b), "one entry, one lookup path");
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+    }
+
+    #[test]
+    fn a_miss_lowers_exactly_once() {
+        let cache = InstrumentedCodeCache::new();
+        let model = CostModel::new();
+        let program = parse_program("int f() { return 7; }").unwrap();
+        let key = CodeKey::of(&program, &model);
+        let mut lowerings = 0;
+        let first = cache.instrument_keyed(key, || {
+            lowerings += 1;
+            lower_program(&program, &model)
+        });
+        assert_eq!(lowerings, 1);
+        let again = cache.instrument_keyed(key, || panic!("a hit never lowers"));
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
     }
 
     #[test]
